@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .design import design_instance
+from .design import design_instance, parent_costs, solve_network
 from .errors import (
     GuardError,
     InfeasibleError,
@@ -32,8 +32,8 @@ from .graphs import (
     serialize_design,
     serialize_instance,
 )
-from .network import brute_force_msss, brute_force_mst, msss_best_root, mst_solve
-from .sensing import brute_force_assignment, build_parent_cost_matrix, hungarian_solve
+from .network import brute_force_msss, brute_force_mst
+from .sensing import brute_force_assignment, hungarian_solve
 from .structural import (
     digraph_from_pattern,
     is_strongly_connected,
@@ -134,30 +134,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input)
-    if not is_structurally_full_rank(instance.system_pattern):
-        raise ScopeError(
-            "system pattern is not structurally full rank; oracle comparison"
-            " covers structurally full-rank systems only"
-        )
-    partition = scc_decompose(digraph_from_pattern(instance.system_pattern))
-    matrix = build_parent_cost_matrix(instance, partition)
+    matrix = parent_costs(instance)
     fast = hungarian_solve(matrix)
     slow = brute_force_assignment(matrix)
 
+    heuristic = solve_network(instance, None, False)
+    heuristic_cost, method = heuristic.total_cost, heuristic.method
     if instance.m == 1:
-        heuristic_cost, oracle_cost, method = 0.0, 0.0, "mst"
+        oracle_cost = 0.0
     elif instance.network_undirected:
-        heuristic = mst_solve(instance.network)
-        oracle = brute_force_mst(instance.network)
-        heuristic_cost, oracle_cost, method = (
-            heuristic.total_cost, oracle.total_cost, heuristic.method,
-        )
+        oracle_cost = brute_force_mst(instance.network).total_cost
     else:
-        heuristic = msss_best_root(instance.network)
-        oracle = brute_force_msss(instance.network)
-        heuristic_cost, oracle_cost, method = (
-            heuristic.total_cost, oracle.total_cost, heuristic.method,
-        )
+        oracle_cost = brute_force_msss(instance.network).total_cost
     gap = 0.0 if oracle_cost == 0 else (heuristic_cost - oracle_cost) / oracle_cost
     doc = {
         "sensing": {

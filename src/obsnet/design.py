@@ -18,15 +18,34 @@ from .network import (
     msss_best_root,
     mst_solve,
 )
-from .sensing import build_parent_cost_matrix, hungarian_solve, recover_measurement_structure
+from .sensing import (
+    ParentCostMatrix,
+    build_parent_cost_matrix,
+    hungarian_solve,
+    recover_measurement_structure,
+)
 from .structural import digraph_from_pattern, is_structurally_full_rank, scc_decompose
 
 __all__ = ["design_instance"]
 
 
-def _solve_network(
+def parent_costs(instance: ProblemInstance) -> ParentCostMatrix:
+    """The sensing half up to the assignment: the scope check, the SCC
+    decomposition of the state digraph and the (sensor, parent) cost matrix."""
+    if not is_structurally_full_rank(instance.system_pattern):
+        raise ScopeError(
+            "system pattern is not structurally full rank; the design"
+            " pipeline covers structurally full-rank systems only"
+        )
+    partition = scc_decompose(digraph_from_pattern(instance.system_pattern))
+    return build_parent_cost_matrix(instance, partition)
+
+
+def solve_network(
     instance: ProblemInstance, root: int | None, exact: bool
 ) -> NetworkDesign:
+    """The networking half: a 0-based ``root`` fixes the branching root,
+    ``exact`` asks for the brute-force optimum of a directed network."""
     if instance.m == 1:
         return NetworkDesign(frozenset(), 0.0, "mst", None, 0.0)
     if instance.network_undirected:
@@ -53,17 +72,10 @@ def design_instance(
     roots by default or a fixed 0-based ``root``, or the exact brute force
     when ``exact`` is set (small networks only, guarded).
     """
-    if not is_structurally_full_rank(instance.system_pattern):
-        raise ScopeError(
-            "system pattern is not structurally full rank; the design"
-            " pipeline covers structurally full-rank systems only"
-        )
-    partition = scc_decompose(digraph_from_pattern(instance.system_pattern))
-    matrix = build_parent_cost_matrix(instance, partition)
-    assignment = hungarian_solve(matrix)
+    assignment = hungarian_solve(parent_costs(instance))
     h_pattern = recover_measurement_structure(assignment, instance.n)
 
-    net = _solve_network(instance, root, exact)
+    net = solve_network(instance, root, exact)
     w_pattern = StructuredMatrix(instance.m, instance.m, frozenset(net.selected_arcs))
     return DesignResult(
         measurement_pattern=h_pattern,

@@ -61,10 +61,6 @@ class StructuredMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def row_nonzeros(self, i: int) -> list[int]:
-        """Column indices of row i's nonzeros, sorted."""
-        return sorted(j for (r, j) in self.nonzeros if r == i)
-
     def sorted_pairs(self) -> list[tuple[int, int]]:
         return sorted(self.nonzeros)
 

@@ -6,19 +6,23 @@ strong subgraph problem, which is NP-hard; the polynomial route fixes a root
 and takes the union of a minimum out-branching and a minimum in-branching,
 which costs at most twice the optimum. Exact brute-force oracles back both
 routes for small cases.
+
+Strong connectivity and reachability come from ``structural.reachable``;
+the branching routes check strong connectivity once per network and build
+one dense cost matrix that every root's out- and in-branching reads.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GuardError, InfeasibleError, ShapeError, ValidationError
 from .graphs import WeightedDigraph
+from .structural import arcs_strongly_connected, reachable
 
 __all__ = [
     "NetworkDesign",
@@ -63,41 +67,16 @@ def _arcs_cost(net: WeightedDigraph, arcs) -> float:
     return float(sum(float(net.arcs[a]) for a in sorted(arcs)))
 
 
-def _is_sc(node_count: int, arcs) -> bool:
-    if node_count <= 1:
-        return True
-    fwd: list[list[int]] = [[] for _ in range(node_count)]
-    rev: list[list[int]] = [[] for _ in range(node_count)]
-    for (u, v) in arcs:
-        fwd[u].append(v)
-        rev[v].append(u)
-    for adj in (fwd, rev):
-        seen = [False] * node_count
-        seen[0] = True
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        if not all(seen):
-            return False
-    return True
-
-
 # --- undirected case: minimum spanning tree --------------------------------
 
 
-def mst_solve(net: WeightedDigraph, undirected: bool = True) -> NetworkDesign:
+def mst_solve(net: WeightedDigraph) -> NetworkDesign:
     """Exact optimum for symmetric networks: Prim's minimum spanning tree.
 
     Every tree edge is selected in both directions, so the reported
     total_cost is the directed objective (twice the tree cost under
     symmetric link costs).
     """
-    if not undirected:
-        raise ValidationError("mst_solve applies to undirected networks only")
     if not net.is_symmetric():
         raise ValidationError(
             "network is not symmetric; undirected solving needs every link"
@@ -144,25 +123,6 @@ def mst_solve(net: WeightedDigraph, undirected: bool = True) -> NetworkDesign:
 
 
 # --- directed case: branchings and their union -----------------------------
-
-
-def _reachable(net: WeightedDigraph, root: int, forward: bool) -> list[bool]:
-    adj: list[list[int]] = [[] for _ in range(net.node_count)]
-    for (u, v) in net.arcs:
-        if forward:
-            adj[u].append(v)
-        else:
-            adj[v].append(u)
-    seen = [False] * net.node_count
-    seen[root] = True
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    return seen
 
 
 def _column_argmin(D: np.ndarray, KEY: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,6 +224,29 @@ def _arborescence(D: np.ndarray, KEY: np.ndarray, root: int) -> list[Arc]:
     return selected
 
 
+def _cost_matrices(net: WeightedDigraph) -> tuple[np.ndarray, np.ndarray]:
+    """Dense arc costs (inf when absent) and the arc keys KEY[u, v] = u*m + v."""
+    m = net.node_count
+    D = np.full((m, m), np.inf)
+    for (u, v), cost in net.arcs.items():
+        D[u, v] = cost
+    KEY = (np.arange(m)[:, None] * m + np.arange(m)[None, :]).astype(np.int64)
+    return D, KEY
+
+
+def _branching(D: np.ndarray, KEY: np.ndarray, root: int, forward: bool) -> frozenset[Arc]:
+    """Arcs of a minimum out- (or in-) branching at ``root``; the caller has
+    checked that one spans.
+
+    The in-branching is the out-branching of the reversed network, whose
+    cost matrix is D.T. It keeps KEY, which orders the reversed arcs as a
+    reversed network built from scratch would, so ties break the same way.
+    """
+    if forward:
+        return frozenset(_arborescence(D, KEY, root))
+    return frozenset((v, u) for (u, v) in _arborescence(D.T, KEY, root))
+
+
 def min_branching(
     net: WeightedDigraph, root: int, direction: str
 ) -> tuple[frozenset[Arc], float]:
@@ -279,11 +262,9 @@ def min_branching(
     m = net.node_count
     if not (0 <= root < m):
         raise ShapeError(f"root {root} out of range for {m} sensors")
-    if m == 1:
-        return frozenset(), 0.0
 
     forward = direction == "out"
-    seen = _reachable(net, root, forward)
+    seen = reachable(m, net.arcs, root, forward)
     if not all(seen):
         missing = seen.index(False) + 1
         rel = "reachable from" if forward else "able to reach"
@@ -291,15 +272,33 @@ def min_branching(
             f"no spanning {direction}-branching: sensor {missing} is not"
             f" {rel} root sensor {root + 1}"
         )
-
-    work = net if forward else net.reversed()
-    D = np.full((m, m), np.inf)
-    for (u, v), cost in work.arcs.items():
-        D[u, v] = cost
-    KEY = (np.arange(m)[:, None] * m + np.arange(m)[None, :]).astype(np.int64)
-    entries = _arborescence(D, KEY, root)
-    arcs = frozenset(entries if forward else [(v, u) for (u, v) in entries])
+    D, KEY = _cost_matrices(net)
+    arcs = _branching(D, KEY, root, forward)
     return arcs, _arcs_cost(net, arcs)
+
+
+def _best_union(net: WeightedDigraph, roots) -> NetworkDesign:
+    """Cheapest out- plus in-branching union over ``roots``; the first root
+    wins a tie."""
+    m = net.node_count
+    if m == 1:
+        return NetworkDesign(frozenset(), 0.0, "branching-union", None, 0.0)
+    if not arcs_strongly_connected(m, net.arcs):
+        raise InfeasibleError(
+            "candidate network is not strongly connected; no strongly"
+            " connected spanning subgraph exists"
+        )
+    D, KEY = _cost_matrices(net)
+    best: NetworkDesign | None = None
+    for root in roots:
+        if not (0 <= root < m):
+            raise ShapeError(f"root {root} out of range for {m} sensors")
+        selected = _branching(D, KEY, root, True) | _branching(D, KEY, root, False)
+        cost = _arcs_cost(net, selected)
+        if best is None or cost < best.total_cost:
+            best = NetworkDesign(selected, cost, "branching-union", root, 1.0)
+    assert best is not None
+    return best
 
 
 def msss_2approx(net: WeightedDigraph, root: int) -> NetworkDesign:
@@ -309,38 +308,12 @@ def msss_2approx(net: WeightedDigraph, root: int) -> NetworkDesign:
     strongly connected, and each branching alone costs at most the exact
     optimum, so the union costs at most twice the optimum.
     """
-    m = net.node_count
-    if m == 1:
-        return NetworkDesign(frozenset(), 0.0, "branching-union", None, 0.0)
-    if not _is_sc(m, net.arcs):
-        raise InfeasibleError(
-            "candidate network is not strongly connected; no strongly"
-            " connected spanning subgraph exists"
-        )
-    out_arcs, _ = min_branching(net, root, "out")
-    in_arcs, _ = min_branching(net, root, "in")
-    selected = out_arcs | in_arcs
-    return NetworkDesign(
-        selected_arcs=selected,
-        total_cost=_arcs_cost(net, selected),
-        method="branching-union",
-        root=root,
-        gap_bound=1.0,
-    )
+    return _best_union(net, [root])
 
 
 def msss_best_root(net: WeightedDigraph) -> NetworkDesign:
     """Branching-union evaluated at every root; cheapest wins (still a 2-approximation)."""
-    m = net.node_count
-    if m == 1:
-        return NetworkDesign(frozenset(), 0.0, "branching-union", None, 0.0)
-    best: NetworkDesign | None = None
-    for root in range(m):
-        design = msss_2approx(net, root)
-        if best is None or design.total_cost < best.total_cost:
-            best = design
-    assert best is not None
-    return best
+    return _best_union(net, range(net.node_count))
 
 
 # --- brute-force oracles ----------------------------------------------------
@@ -364,7 +337,7 @@ def brute_force_msss(net: WeightedDigraph) -> NetworkDesign:
         )
     if m == 1:
         return NetworkDesign(frozenset(), 0.0, "brute-force", None, 0.0)
-    if not _is_sc(m, arcs):
+    if not arcs_strongly_connected(m, arcs):
         raise InfeasibleError(
             "candidate network is not strongly connected; no strongly"
             " connected spanning subgraph exists"
@@ -407,7 +380,7 @@ def brute_force_msss(net: WeightedDigraph) -> NetworkDesign:
 
     def rec(idx: int, cost: float, recheck: bool) -> None:
         nonlocal best_cost, best_set
-        if recheck and all(in_deg) and all(out_deg) and _is_sc(m, chosen):
+        if recheck and all(in_deg) and all(out_deg) and arcs_strongly_connected(m, chosen):
             candidate = tuple(chosen)
             if cost < best_cost or (cost == best_cost and
                                     (best_set is None or candidate < best_set)):

@@ -6,12 +6,17 @@ parent components here. For a structurally full-rank system pattern,
 structural observability holds exactly when every parent component contains
 at least one measured state, and the distributed variant additionally needs
 one sensor per parent component with a strongly connected sensor network.
+
+Reachability lives here too: ``reachable`` is the one breadth-first search
+over an arc list, and every strong-connectivity test in the package, the
+network solvers' included, is built on it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import ScopeError, ShapeError, ValidationError
 from .graphs import Digraph, ProblemInstance, StructuredMatrix, digraph_from_pattern
@@ -139,25 +144,39 @@ def scc_decompose(g: Digraph) -> SccPartition:
     )
 
 
+def reachable(node_count: int, arcs: Iterable[tuple[int, int]], source: int,
+              forward: bool) -> list[bool]:
+    """Which nodes ``source`` reaches along ``arcs``, or against them when
+    ``forward`` is false (the nodes that reach ``source``)."""
+    adj: list[list[int]] = [[] for _ in range(node_count)]
+    for (u, v) in arcs:
+        if forward:
+            adj[u].append(v)
+        else:
+            adj[v].append(u)
+    seen = [False] * node_count
+    seen[source] = True
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                queue.append(v)
+    return seen
+
+
+def arcs_strongly_connected(node_count: int, arcs: Iterable[tuple[int, int]]) -> bool:
+    """True iff the arcs on nodes 0..node_count-1 form one SCC; ``arcs`` is
+    read twice, so pass a collection rather than an iterator."""
+    return node_count <= 1 or (
+        all(reachable(node_count, arcs, 0, True)) and all(reachable(node_count, arcs, 0, False))
+    )
+
+
 def is_strongly_connected(g: Digraph) -> bool:
     """True iff every node reaches every other node (exactly one SCC)."""
-    n = g.node_count
-    if n <= 1:
-        return True
-    for graph in (g, g.reversed()):
-        adj = graph.successors()
-        seen = [False] * n
-        seen[0] = True
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        if not all(seen):
-            return False
-    return True
+    return arcs_strongly_connected(g.node_count, g.edges)
 
 
 def max_bipartite_matching(adjacency: list[list[int]], n_right: int) -> dict[int, int]:
@@ -231,16 +250,11 @@ def is_structurally_full_rank(pattern: StructuredMatrix) -> bool:
     return len(matching) == n
 
 
-def check_structural_observability(
+def _parent_test(
     a_pattern: StructuredMatrix, h_pattern: StructuredMatrix
-) -> bool:
-    """Structural observability test for structurally full-rank systems.
-
-    True iff every parent component of the state digraph contains at least
-    one measured state (a state whose column in the measurement pattern has
-    a nonzero). Rejects patterns that are not structurally full rank, where
-    this criterion is no longer equivalent to observability.
-    """
+) -> tuple[bool, SccPartition]:
+    """Whether every parent component holds a measured state, and the SCC
+    partition of the state digraph that the answer was read from."""
     if not is_structurally_full_rank(a_pattern):
         raise ScopeError(
             "system pattern is not structurally full rank; the parent-component"
@@ -253,9 +267,23 @@ def check_structural_observability(
         )
     measured = {j for (_, j) in h_pattern.nonzeros}
     partition = scc_decompose(digraph_from_pattern(a_pattern))
-    return all(
+    observable = all(
         any(v in measured for v in comp) for comp in partition.parent_components()
     )
+    return observable, partition
+
+
+def check_structural_observability(
+    a_pattern: StructuredMatrix, h_pattern: StructuredMatrix
+) -> bool:
+    """Structural observability test for structurally full-rank systems.
+
+    True iff every parent component of the state digraph contains at least
+    one measured state (a state whose column in the measurement pattern has
+    a nonzero). Rejects patterns that are not structurally full rank, where
+    this criterion is no longer equivalent to observability.
+    """
+    return _parent_test(a_pattern, h_pattern)[0]
 
 
 def check_distributed_observability_structural(
@@ -282,7 +310,8 @@ def check_distributed_observability_structural(
                 f"design uses link {i + 1} -> {j + 1} which is not in the"
                 f" candidate network"
             )
-    if not check_structural_observability(instance.system_pattern, h_pattern):
+    observable, partition = _parent_test(instance.system_pattern, h_pattern)
+    if not observable:
         return False
     rows: dict[int, int] = {}
     for (i, j) in h_pattern.nonzeros:
@@ -291,7 +320,6 @@ def check_distributed_observability_structural(
         rows[i] = j
     if len(rows) != instance.m:
         return False  # an idle sensor
-    partition = scc_decompose(digraph_from_pattern(instance.system_pattern))
     parents = partition.parent_indices()
     if len(parents) != instance.m:
         return False
@@ -301,4 +329,4 @@ def check_distributed_observability_structural(
         if partition.kinds[comp] != PARENT or comp in covered:
             return False
         covered.add(comp)
-    return is_strongly_connected(Digraph(instance.m, frozenset(w_pattern.nonzeros)))
+    return arcs_strongly_connected(instance.m, w_pattern.nonzeros)

@@ -236,6 +236,8 @@ def test_scope_error_exit_code(tmp_path, capsys):
     code = run(["design", "--in", str(path), "--out", str(out)])
     assert code == 2
     assert _stderr_kind(capsys) == "scope"
+    assert run(["oracle", "--in", str(path)]) == 2
+    assert _stderr_kind(capsys) == "scope"
 
 
 def test_usage_errors_exit_one(capsys):

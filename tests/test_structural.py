@@ -204,6 +204,36 @@ def test_distributed_gate_needs_sensor_per_parent():
     assert not check_distributed_observability_structural(instance, h, w)
 
 
+def test_distributed_gate_needs_full_rank():
+    instance = ProblemInstance(
+        n=2,
+        m=1,
+        system_pattern=StructuredMatrix(2, 2, frozenset({(0, 0), (0, 1)})),
+        sensing_cost={(0, 0): 1.0, (0, 1): 1.0},
+        network=WeightedDigraph(1, {}),
+    )
+    h = StructuredMatrix(1, 2, frozenset({(0, 0)}))
+    w = StructuredMatrix(1, 1, frozenset())
+    with pytest.raises(ScopeError):
+        check_distributed_observability_structural(instance, h, w)
+
+
+def test_distributed_gate_rejects_child_measurement():
+    # state 1 drives state 2: {1} is a child component, {2} the only parent
+    instance = ProblemInstance(
+        n=2,
+        m=1,
+        system_pattern=StructuredMatrix(2, 2, frozenset({(0, 0), (1, 1), (1, 0)})),
+        sensing_cost={(0, 0): 1.0, (0, 1): 1.0},
+        network=WeightedDigraph(1, {}),
+    )
+    w = StructuredMatrix(1, 1, frozenset())
+    on_parent = StructuredMatrix(1, 2, frozenset({(0, 1)}))
+    on_child = StructuredMatrix(1, 2, frozenset({(0, 0)}))
+    assert check_distributed_observability_structural(instance, on_parent, w)
+    assert not check_distributed_observability_structural(instance, on_child, w)
+
+
 def test_condensation_is_acyclic():
     rng = np.random.default_rng(29)
     for _ in range(60):
