@@ -63,7 +63,6 @@ from .structural import (
 )
 from .verification import (
     VerificationReport,
-    build_measurement_gram,
     kalman_rank_observable,
     make_row_stochastic,
     observability_trial,
@@ -93,7 +92,6 @@ __all__ = [
     "brute_force_assignment",
     "brute_force_msss",
     "brute_force_mst",
-    "build_measurement_gram",
     "build_parent_cost_matrix",
     "check_distributed_observability_structural",
     "check_structural_observability",

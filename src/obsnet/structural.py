@@ -304,6 +304,11 @@ def check_distributed_observability_structural(
             f"network pattern is {w_pattern.rows}x{w_pattern.cols},"
             f" expected {instance.m}x{instance.m}"
         )
+    if h_pattern.rows != instance.m or h_pattern.cols != instance.n:
+        raise ShapeError(
+            f"measurement pattern is {h_pattern.rows}x{h_pattern.cols},"
+            f" expected {instance.m}x{instance.n}"
+        )
     for (i, j) in w_pattern.nonzeros:
         if (i, j) not in instance.network.arcs:
             raise ValidationError(

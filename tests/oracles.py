@@ -10,10 +10,11 @@ trusted.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
-from obsnet import ProblemInstance, WeightedDigraph
+from obsnet import ProblemInstance, ValidationError, WeightedDigraph
 
 
 def influence_edges(nonzeros) -> set[tuple[int, int]]:
@@ -146,3 +147,56 @@ def observability_matrix_rank(a: np.ndarray, c: np.ndarray, tol: float = 1e-8) -
     if sing.size == 0 or sing[0] == 0:
         return 0
     return int(np.sum(sing > tol * sing[0]))
+
+
+def exact_observability_rank(a: np.ndarray, c: np.ndarray) -> int:
+    """Rank of the stacked observability matrix in exact arithmetic.
+
+    Each float is read as the binary fraction it stores, and the rows of
+    c, c a, ..., c a^(n-1) are reduced with rationals, so no conditioning
+    can hide a direction: the answer is the rank of the given numbers.
+    """
+    a = [[Fraction(x) for x in row] for row in np.asarray(a, dtype=float).tolist()]
+    n = len(a)
+    block = [[Fraction(x) for x in row] for row in np.atleast_2d(c).astype(float).tolist()]
+    pivots: dict[int, list[Fraction]] = {}  # column -> row with a leading 1 there
+    for _ in range(n):
+        for row in block:
+            # in insertion order: each pivot row is zero at the earlier pivots
+            for j, pivot in pivots.items():
+                if row[j]:
+                    row = [x - row[j] * y for x, y in zip(row, pivot)]
+            lead = next((j for j, x in enumerate(row) if x), None)
+            if lead is not None:
+                pivots[lead] = [x / row[lead] for x in row]
+        if len(pivots) == n:
+            break
+        block = [
+            [sum(r[k] * a[k][j] for k in range(n) if r[k]) for j in range(n)]
+            for r in block
+        ]
+    return len(pivots)
+
+
+def build_measurement_gram(h: np.ndarray) -> np.ndarray:
+    """Block-diagonal stack of the per-sensor output Grams.
+
+    For an m x n measurement matrix the result is (m n) x (m n); block i on
+    the diagonal is the outer product of row i with itself. This is the
+    output map each sensor can evaluate locally in the networked filter.
+    Each sensor must take exactly one measurement, so every row of h needs
+    exactly one nonzero.
+    """
+    h = np.atleast_2d(np.asarray(h, dtype=float))
+    m, n = h.shape
+    counts = np.count_nonzero(h, axis=1)
+    if not np.all(counts == 1):
+        bad = int(np.flatnonzero(counts != 1)[0])
+        raise ValidationError(
+            f"sensor {bad + 1} has {int(counts[bad])} measurements; the"
+            f" block-diagonal output map needs exactly one per sensor"
+        )
+    gram = np.zeros((m * n, m * n))
+    for i in range(m):
+        gram[i * n:(i + 1) * n, i * n:(i + 1) * n] = np.outer(h[i], h[i])
+    return gram

@@ -5,6 +5,7 @@ from obsnet import (
     Digraph,
     ProblemInstance,
     ScopeError,
+    ShapeError,
     StructuredMatrix,
     ValidationError,
     WeightedDigraph,
@@ -188,6 +189,16 @@ def test_distributed_gate_rejects_each_violation():
     sparse = two_parent_instance({(0, 1): 1.0})
     with pytest.raises(ValidationError, match="not in the"):
         check_distributed_observability_structural(sparse, good_h, good_w)
+
+
+def test_distributed_gate_rejects_measurement_shape():
+    # more measurement rows than sensors, with sensor 0 idle and with it busy
+    instance = two_parent_instance({(0, 1): 1.0, (1, 0): 1.0})
+    w = StructuredMatrix(2, 2, frozenset({(0, 1), (1, 0)}))
+    for nonzeros in ({(1, 0), (2, 1)}, {(0, 0), (1, 1)}):
+        h = StructuredMatrix(3, 2, frozenset(nonzeros))
+        with pytest.raises(ShapeError, match="measurement pattern is 3x2, expected 2x2"):
+            check_distributed_observability_structural(instance, h, w)
 
 
 def test_distributed_gate_needs_sensor_per_parent():

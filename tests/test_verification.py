@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-import obsnet.verification as verification
 from obsnet import (
     InfeasibleError,
     ProblemInstance,
     StructuredMatrix,
     ValidationError,
     WeightedDigraph,
-    build_measurement_gram,
     design_instance,
     generate_instance,
     kalman_rank_observable,
@@ -18,7 +16,11 @@ from obsnet import (
     rng_for,
     verify_design_numeric,
 )
-from oracles import observability_matrix_rank
+from oracles import (
+    build_measurement_gram,
+    exact_observability_rank,
+    observability_matrix_rank,
+)
 
 
 def test_realize_numeric_respects_structure():
@@ -243,18 +245,42 @@ def test_non_sc_counterexample_fails_every_trial():
         assert instance.m * instance.n - rank >= 1
 
 
-def test_trial_implicit_operator_matches_dense(monkeypatch):
-    instance = generate_instance(4, 3, density=0.4, seed=21)
-    design = design_instance(instance)
-    h, w = design.measurement_pattern, design.network_pattern
-    dense = [
-        observability_trial(instance, h, w, rng_for(1, "cmp", t)) for t in range(6)
-    ]
-    monkeypatch.setattr(verification, "DENSE_JOINT_LIMIT", 0)
-    implicit = [
-        observability_trial(instance, h, w, rng_for(1, "cmp", t)) for t in range(6)
-    ]
-    assert dense == implicit
+def explicit_trial_rank(instance, h, w, rng) -> int:
+    """The exact rank of the stacked observability matrix of the pair
+    (W kron A, block-diagonal measurement Grams), with A, H and W drawn in
+    the trial's order from a twin of the trial's stream."""
+    a = realize_numeric(instance.system_pattern, rng)
+    # a singular draw would be re-drawn by the trial, and the twin would drift
+    assert np.linalg.matrix_rank(a) == instance.n
+    h_num = realize_numeric(h, rng)
+    w_num = make_row_stochastic(w, rng)
+    return exact_observability_rank(np.kron(w_num, a), build_measurement_gram(h_num))
+
+
+def test_trial_rank_matches_explicit_observability_matrix():
+    # Designs, the one-way-link counterexample, and random measurement and
+    # link patterns on the same systems, whose ranks fall short by every
+    # amount and differ when the link direction is flipped. m n stays at
+    # most 12 to keep the rational arithmetic fast.
+    pick = np.random.default_rng(41)
+    cases = [(decoupled_instance({(0, 1): 1.0}),
+              StructuredMatrix(2, 2, frozenset({(0, 0), (1, 1)})),
+              StructuredMatrix(2, 2, frozenset({(0, 1)})), 40)]
+    for seed in range(36):
+        n = 2 + seed % 3
+        m = 1 + (seed // 3) % min(3, n)
+        instance = generate_instance(n, m, density=0.4, seed=seed)
+        design = design_instance(instance)
+        cases.append((instance, design.measurement_pattern, design.network_pattern, 10))
+        h = frozenset((i, int(pick.integers(n))) for i in range(m))
+        w = frozenset(
+            (i, j) for i in range(m) for j in range(m) if i != j and pick.random() < 0.4
+        )
+        cases.append((instance, StructuredMatrix(m, n, h), StructuredMatrix(m, m, w), 4))
+    for case, (instance, h, w, trials) in enumerate(cases):
+        for t in range(trials):
+            _, rank = observability_trial(instance, h, w, rng_for(case, "twin", t))
+            assert rank == explicit_trial_rank(instance, h, w, rng_for(case, "twin", t))
 
 
 def test_scalar_design_verifies():
