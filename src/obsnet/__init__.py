@@ -26,7 +26,6 @@ from .graphs import (
     StructuredMatrix,
     WeightedDigraph,
     digraph_from_pattern,
-    export_dot,
     export_instance_dot,
     parse_design,
     parse_instance,
@@ -98,7 +97,6 @@ __all__ = [
     "derive_seed",
     "design_instance",
     "digraph_from_pattern",
-    "export_dot",
     "export_instance_dot",
     "generate_instance",
     "hungarian_solve",

@@ -16,14 +16,7 @@ import sys
 from pathlib import Path
 
 from .design import design_instance, parent_costs, solve_network
-from .errors import (
-    GuardError,
-    InfeasibleError,
-    ObsnetError,
-    ScopeError,
-    ShapeError,
-    ValidationError,
-)
+from .errors import ObsnetError, ValidationError
 from .generate import generate_instance
 from .graphs import (
     export_instance_dot,
@@ -35,8 +28,8 @@ from .graphs import (
 from .network import brute_force_msss, brute_force_mst
 from .sensing import brute_force_assignment, hungarian_solve
 from .structural import (
+    arcs_strongly_connected,
     digraph_from_pattern,
-    is_strongly_connected,
     is_structurally_full_rank,
     scc_decompose,
 )
@@ -62,18 +55,8 @@ def _load_instance(path: str):
 
 
 def _error_kind(exc: BaseException) -> str:
-    if isinstance(exc, GuardError):
-        return "guard"
-    if isinstance(exc, ScopeError):
-        return "scope"
-    if isinstance(exc, InfeasibleError):
-        return "infeasible"
-    if isinstance(exc, ShapeError):
-        return "shape"
-    if isinstance(exc, ValidationError):
-        return "validation"
     if isinstance(exc, ObsnetError):
-        return "error"
+        return exc.kind
     if isinstance(exc, OSError):
         return "io"
     return "internal"
@@ -94,8 +77,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "n": instance.n,
         "m": instance.m,
         "structurally_full_rank": is_structurally_full_rank(instance.system_pattern),
-        "network_strongly_connected": is_strongly_connected(
-            instance.network.unweighted()
+        "network_strongly_connected": arcs_strongly_connected(
+            instance.m, instance.network.arcs
         ),
         "network_undirected": instance.network_undirected,
     }
@@ -140,9 +123,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
     heuristic = solve_network(instance, None, False)
     heuristic_cost, method = heuristic.total_cost, heuristic.method
-    if instance.m == 1:
-        oracle_cost = 0.0
-    elif instance.network_undirected:
+    if instance.network_undirected:
         oracle_cost = brute_force_mst(instance.network).total_cost
     else:
         oracle_cost = brute_force_msss(instance.network).total_cost

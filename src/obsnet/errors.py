@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all obsnet modules.
 
 Each class maps to a stable process exit code so the CLI can be scripted:
-0 success, 2 infeasible, 3 guard exceeded, 1 anything else.
+0 success, 2 infeasible, 3 guard exceeded, 1 anything else. ``kind`` is the
+error kind the CLI prints.
 """
 
 from __future__ import annotations
@@ -11,18 +12,21 @@ class ObsnetError(Exception):
     """Base class for all errors raised by this package."""
 
     exit_code = 1
+    kind = "error"
 
 
 class ShapeError(ObsnetError):
     """A matrix or graph argument has incompatible dimensions."""
 
     exit_code = 1
+    kind = "shape"
 
 
 class ValidationError(ObsnetError):
     """An instance or design document violates its schema or invariants."""
 
     exit_code = 1
+    kind = "validation"
 
 
 class InfeasibleError(ObsnetError):
@@ -33,6 +37,7 @@ class InfeasibleError(ObsnetError):
     """
 
     exit_code = 2
+    kind = "infeasible"
 
 
 class ScopeError(InfeasibleError):
@@ -42,8 +47,11 @@ class ScopeError(InfeasibleError):
     systems only; anything else is rejected rather than silently extended.
     """
 
+    kind = "scope"
+
 
 class GuardError(ObsnetError):
     """An exact brute-force oracle was asked to exceed its size guard."""
 
     exit_code = 3
+    kind = "guard"

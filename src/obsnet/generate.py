@@ -129,11 +129,7 @@ def generate_instance(
         raise ValidationError(f"density must lie in [0, 1], got {density}")
 
     pattern = _system_pattern(rng_for(seed, "system"), n, m, density)
-    cost_rng = rng_for(seed, "costs")
-    values = cost_rng.uniform(1.0, 10.0, size=(m, n))
-    sensing_cost = {
-        (i, j): float(values[i, j]) for i in range(m) for j in range(n)
-    }
+    sensing_cost = rng_for(seed, "costs").uniform(1.0, 10.0, size=(m, n))
     network = _network(rng_for(seed, "network"), m, density, undirected)
     return ProblemInstance(
         n=n,

@@ -2,7 +2,9 @@
 
 Everything here is a plain immutable value: a sparsity pattern is a set of
 (row, col) pairs, a digraph is a set of arcs, and a problem instance bundles
-the system pattern with sensing costs and a candidate communication network.
+the system pattern with a read-only (m, n) array of sensing costs, where
+``inf`` marks a (sensor, state) pair that may not be measured, and a
+candidate communication network.
 Node and matrix indices are 0-based in memory; the JSON documents use
 1-based indices, and the converters in this module are the only place the
 two conventions meet.
@@ -12,8 +14,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
+
+import numpy as np
 
 from .errors import ShapeError, ValidationError
 
@@ -28,7 +32,6 @@ __all__ = [
     "serialize_instance",
     "parse_design",
     "serialize_design",
-    "export_dot",
     "export_instance_dot",
 ]
 
@@ -84,9 +87,6 @@ class Digraph:
             adj[u].append(v)
         return adj
 
-    def reversed(self) -> "Digraph":
-        return Digraph(self.node_count, frozenset((v, u) for (u, v) in self.edges))
-
 
 @dataclass(frozen=True)
 class WeightedDigraph:
@@ -104,9 +104,6 @@ class WeightedDigraph:
                 raise ValidationError(f"arc ({u}, {v}) cost must be finite and >= 0, got {cost}")
         object.__setattr__(self, "arcs", arcs)
 
-    def unweighted(self) -> Digraph:
-        return Digraph(self.node_count, frozenset(self.arcs))
-
     def reversed(self) -> "WeightedDigraph":
         return WeightedDigraph(
             self.node_count, {(v, u): c for (u, v), c in self.arcs.items()}
@@ -119,7 +116,36 @@ class WeightedDigraph:
         return True
 
 
-@dataclass(frozen=True)
+def _bad_cost(i: int, j: int, cost) -> ValidationError:
+    return ValidationError(
+        f"sensing cost for sensor {i + 1}, state {j + 1} must be finite and >= 0, got {cost}"
+    )
+
+
+def _cost_table(costs, m: int, n: int) -> np.ndarray:
+    """Read-only (m, n) copy of the sensing costs, inf where forbidden."""
+    if isinstance(costs, Mapping):
+        table = np.full((m, n), np.inf)
+        for (i, j), cost in costs.items():
+            if not (0 <= i < m and 0 <= j < n):
+                raise ValidationError(f"sensing cost entry ({i}, {j}) out of range")
+            if not math.isfinite(cost) or cost < 0:
+                raise _bad_cost(i, j, cost)
+            table[i, j] = cost
+    else:
+        table = np.array(costs, dtype=np.float64)
+        if table.shape != (m, n):
+            shape = "x".join(map(str, table.shape))
+            raise ShapeError(f"sensing cost is {shape}, expected {m}x{n}")
+        bad = np.flatnonzero(np.isnan(table) | (table < 0))
+        if bad.size:
+            i, j = divmod(int(bad[0]), n)
+            raise _bad_cost(i, j, float(table[i, j]))
+    table.flags.writeable = False
+    return table
+
+
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """One design problem: system pattern, sensing costs and candidate network.
 
@@ -127,8 +153,10 @@ class ProblemInstance:
         n: number of states.
         m: number of sensors.
         system_pattern: n x n sparsity pattern of the dynamics matrix.
-        sensing_cost: (sensor, state) -> cost; a missing key means that
-            sensor may not measure that state.
+        sensing_cost: read-only (m, n) float64 array; entry [i, j] is the
+            cost of sensor i measuring state j, and ``inf`` means sensor i
+            may not measure state j. The constructor also takes a mapping
+            (sensor, state) -> finite cost, where a missing key means inf.
         network: candidate communication links between sensors, with costs.
             A link (i, j) lets sensor i fuse the prediction shared by
             sensor j.
@@ -138,7 +166,7 @@ class ProblemInstance:
     n: int
     m: int
     system_pattern: StructuredMatrix
-    sensing_cost: Mapping[tuple[int, int], float]
+    sensing_cost: np.ndarray
     network: WeightedDigraph
     network_undirected: bool = False
 
@@ -150,16 +178,7 @@ class ProblemInstance:
                 f"system pattern is {self.system_pattern.rows}x{self.system_pattern.cols},"
                 f" expected {self.n}x{self.n}"
             )
-        costs = dict(self.sensing_cost)
-        for (i, j), cost in costs.items():
-            if not (0 <= i < self.m and 0 <= j < self.n):
-                raise ValidationError(f"sensing cost entry ({i}, {j}) out of range")
-            if not math.isfinite(cost) or cost < 0:
-                raise ValidationError(
-                    f"sensing cost for sensor {i + 1}, state {j + 1} must be finite"
-                    f" and >= 0, got {cost}"
-                )
-        object.__setattr__(self, "sensing_cost", costs)
+        object.__setattr__(self, "sensing_cost", _cost_table(self.sensing_cost, self.m, self.n))
         if self.network.node_count != self.m:
             raise ShapeError(
                 f"network has {self.network.node_count} nodes, expected m={self.m}"
@@ -280,7 +299,7 @@ def parse_instance(text: str) -> ProblemInstance:
         nonzeros.add((i, j))
 
     c_entries = _require(doc, "c", list, "instance")
-    sensing_cost: dict[tuple[int, int], float] = {}
+    sensing_cost = np.full((m, n), np.inf)
     for k, entry in enumerate(c_entries):
         if not isinstance(entry, dict):
             raise ValidationError(f"c[{k}]: expected an object, got {entry!r}")
@@ -289,9 +308,9 @@ def parse_instance(text: str) -> ProblemInstance:
         cost = _require(entry, "cost", float, f"c[{k}]")
         if not math.isfinite(cost) or cost < 0:
             raise ValidationError(f"c[{k}].cost: must be finite and >= 0, got {cost}")
-        if (i, j) in sensing_cost:
+        if sensing_cost[i, j] != np.inf:
             raise ValidationError(f"c[{k}]: duplicate entry for sensor {i + 1}, state {j + 1}")
-        sensing_cost[(i, j)] = cost
+        sensing_cost[i, j] = cost
 
     net_doc = _require(doc, "net", dict, "instance")
     undirected = _require(net_doc, "undirected", bool, "net")
@@ -334,14 +353,17 @@ def parse_instance(text: str) -> ProblemInstance:
 
 
 def serialize_instance(instance: ProblemInstance) -> str:
-    """Canonical JSON for an instance; parse(serialize(x)) == x."""
+    """Canonical JSON for an instance: sorted keys, sensing costs in row-major
+    (sensor, state) order with the inf entries left out."""
     doc = {
         "n": instance.n,
         "m": instance.m,
         "A": [[i + 1, j + 1] for (i, j) in instance.system_pattern.sorted_pairs()],
         "c": [
             {"sensor": i + 1, "state": j + 1, "cost": cost}
-            for (i, j), cost in sorted(instance.sensing_cost.items())
+            for i, row in enumerate(instance.sensing_cost.tolist())
+            for j, cost in enumerate(row)
+            if cost != math.inf
         ],
         "net": {
             "undirected": instance.network_undirected,
@@ -412,30 +434,6 @@ def _format_cost(cost: float) -> str:
     if float(cost).is_integer():
         return str(int(cost))
     return repr(float(cost))
-
-
-def export_dot(graph: Digraph | WeightedDigraph, labels: Iterable[str] | None = None) -> str:
-    """Render a digraph as Graphviz DOT text.
-
-    Nodes are written 1-based. Arc costs of a WeightedDigraph become edge
-    labels; plain digraphs get bare edges.
-    """
-    names = list(labels) if labels is not None else [str(i + 1) for i in range(graph.node_count)]
-    if len(names) != graph.node_count:
-        raise ValidationError(
-            f"got {len(names)} labels for {graph.node_count} nodes"
-        )
-    lines = ["digraph G {"]
-    for i in range(graph.node_count):
-        lines.append(f'  {i + 1} [label="{names[i]}"];')
-    if isinstance(graph, WeightedDigraph):
-        for (u, v), cost in sorted(graph.arcs.items()):
-            lines.append(f'  {u + 1} -> {v + 1} [label="{_format_cost(cost)}"];')
-    else:
-        for (u, v) in sorted(graph.edges):
-            lines.append(f"  {u + 1} -> {v + 1};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def export_instance_dot(instance: ProblemInstance) -> str:

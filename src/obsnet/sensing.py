@@ -46,9 +46,6 @@ class ParentCostMatrix:
     argmin_state: np.ndarray
     parent_components: tuple[tuple[int, ...], ...]
 
-    def is_forbidden(self, sensor: int, parent: int) -> bool:
-        return not np.isfinite(self.cost[sensor, parent])
-
 
 @dataclass(frozen=True)
 class SensorAssignment:
@@ -80,15 +77,14 @@ def build_parent_cost_matrix(
             f"instance has {len(parents)} parent components but {m} sensors;"
             f" the assignment reduction needs them equal"
         )
-    cost = np.full((m, m), np.inf)
-    argmin_state = np.full((m, m), -1, dtype=np.int64)
-    for i in range(m):
-        for p, comp in enumerate(parents):
-            for state in comp:  # components are sorted, so ties pick the lowest state
-                c = instance.sensing_cost.get((i, state))
-                if c is not None and c < cost[i, p]:
-                    cost[i, p] = c
-                    argmin_state[i, p] = state
+    cost = np.empty((m, m))
+    argmin_state = np.empty((m, m), dtype=np.int64)
+    for p, comp in enumerate(parents):
+        states = np.array(comp)
+        block = instance.sensing_cost[:, states]
+        k = block.argmin(axis=1)  # components are sorted: ties pick the lowest state
+        cost[:, p] = block.min(axis=1)
+        argmin_state[:, p] = np.where(np.isinf(cost[:, p]), -1, states[k])
     return ParentCostMatrix(
         size=m, cost=cost, argmin_state=argmin_state, parent_components=parents
     )

@@ -60,6 +60,21 @@ def parent_components(n: int, nonzeros) -> list[tuple[int, ...]]:
     return [c for c, k in zip(comps, kinds) if k == "parent"]
 
 
+def parent_costs_by_scan(instance: ProblemInstance):
+    """(sensor, parent) cost and cheapest state by scanning every entry in
+    state order; (inf, -1) where the sensor may measure no state of it."""
+    parents = parent_components(instance.n, instance.system_pattern.nonzeros)
+    cost = [[np.inf] * len(parents) for _ in range(instance.m)]
+    state = [[-1] * len(parents) for _ in range(instance.m)]
+    for i in range(instance.m):
+        for p, comp in enumerate(parents):
+            for s in comp:
+                c = float(instance.sensing_cost[i, s])
+                if c < cost[i][p]:
+                    cost[i][p], state[i][p] = c, s
+    return cost, state
+
+
 def has_spanning_cycle_family(n: int, nonzeros) -> bool:
     """Permutation scan: some sigma with (i, sigma(i)) a nonzero for every i."""
     allowed = [set() for _ in range(n)]
@@ -85,8 +100,8 @@ def brute_force_sensing_cost(instance: ProblemInstance) -> float | None:
         cost = 0.0
         ok = True
         for i, s in enumerate(states):
-            c = instance.sensing_cost.get((i, s))
-            if c is None:
+            c = float(instance.sensing_cost[i, s])
+            if c == np.inf:
                 ok = False
                 break
             cost += c

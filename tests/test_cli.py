@@ -1,6 +1,20 @@
 import json
 
-from obsnet import generate_instance, parse_design, parse_instance, serialize_instance
+import pytest
+
+from obsnet import (
+    GuardError,
+    InfeasibleError,
+    ObsnetError,
+    ScopeError,
+    ShapeError,
+    ValidationError,
+    generate_instance,
+    parse_design,
+    parse_instance,
+    serialize_instance,
+)
+from obsnet import cli
 from obsnet.cli import run
 
 
@@ -168,6 +182,14 @@ def test_oracle_undirected_is_exact(tmp_path, capsys):
     assert doc["networking"]["gap"] == 0.0
 
 
+def test_oracle_single_sensor_costs_nothing(tmp_path, capsys):
+    for undirected in (False, True):
+        path, _ = _gen(tmp_path, n=3, m=1, seed=5, undirected=undirected)
+        assert run(["oracle", "--in", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert '"brute_force_cost": 0.0' in out and '"gap": 0.0' in out
+
+
 def test_export_dot(tmp_path, capsys):
     path, _ = _gen(tmp_path)
     out = tmp_path / "g.dot"
@@ -238,6 +260,28 @@ def test_scope_error_exit_code(tmp_path, capsys):
     assert _stderr_kind(capsys) == "scope"
     assert run(["oracle", "--in", str(path)]) == 2
     assert _stderr_kind(capsys) == "scope"
+
+
+@pytest.mark.parametrize(
+    "exc, kind, code",
+    [
+        (ObsnetError("boom"), "error", 1),
+        (ShapeError("boom"), "shape", 1),
+        (ValidationError("boom"), "validation", 1),
+        (InfeasibleError("boom"), "infeasible", 2),
+        (ScopeError("boom"), "scope", 2),
+        (GuardError("boom"), "guard", 3),
+        (OSError("boom"), "io", 1),
+        (RuntimeError("boom"), "internal", 1),
+    ],
+)
+def test_error_kind_and_exit_code(monkeypatch, tmp_path, capsys, exc, kind, code):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "generate_instance", fail)
+    assert run(["gen", "--n", "2", "--m", "1", "--out", str(tmp_path / "g.json")]) == code
+    assert json.loads(capsys.readouterr().err) == {"error": {"kind": kind, "message": "boom"}}
 
 
 def test_usage_errors_exit_one(capsys):

@@ -122,7 +122,7 @@ def test_design_costs_are_reported_separately():
     instance = generate_instance(6, 3, density=0.4, seed=77)
     design = design_instance(instance)
     sensing = sum(
-        instance.sensing_cost[(i, j)]
+        instance.sensing_cost[i, j]
         for (i, j) in sorted(design.measurement_pattern.nonzeros)
     )
     networking = sum(

@@ -1,16 +1,16 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from obsnet import (
-    Digraph,
     ProblemInstance,
     ShapeError,
     StructuredMatrix,
     ValidationError,
     WeightedDigraph,
     digraph_from_pattern,
-    export_dot,
     export_instance_dot,
     generate_instance,
     parse_design,
@@ -59,23 +59,67 @@ def test_digraph_from_pattern_transposes():
         digraph_from_pattern(StructuredMatrix(2, 3, frozenset()))
 
 
-def test_reversed_digraph_roundtrip():
-    g = Digraph(3, frozenset({(0, 1), (1, 2)}))
-    assert g.reversed().reversed() == g
-
-
 def test_instance_roundtrip_exact():
     instance = small_instance()
     text = serialize_instance(instance)
     back = parse_instance(text)
-    assert back == instance
     assert serialize_instance(back) == text
+    assert np.array_equal(back.sensing_cost, instance.sensing_cost)
 
 
 def test_generated_instance_roundtrip():
     for seed in range(5):
-        instance = generate_instance(6, 3, density=0.4, seed=seed)
-        assert parse_instance(serialize_instance(instance)) == instance
+        text = serialize_instance(generate_instance(6, 3, density=0.4, seed=seed))
+        assert serialize_instance(parse_instance(text)) == text
+
+
+def _with_costs(costs) -> ProblemInstance:
+    return dataclasses.replace(small_instance(), sensing_cost=costs)
+
+
+def test_sensing_cost_is_a_read_only_array():
+    source = np.array([[1.0, np.inf], [2.0, 0.0]])
+    instance = _with_costs(source)
+    source[0, 0] = 7.0  # the instance holds its own copy
+    assert instance.sensing_cost.dtype == np.float64
+    assert instance.sensing_cost.tolist() == [[1.0, np.inf], [2.0, 0.0]]
+    with pytest.raises(ValueError):
+        instance.sensing_cost[0, 0] = 3.0
+    # a mapping leaves the missing pairs forbidden
+    assert _with_costs({(1, 0): 2.5}).sensing_cost.tolist() == [[np.inf, np.inf], [2.5, np.inf]]
+    # inf entries are left out of the document, the rest keep their order
+    doc = json.loads(serialize_instance(instance))
+    assert [(e["sensor"], e["state"], e["cost"]) for e in doc["c"]] == [
+        (1, 1, 1.0), (2, 1, 2.0), (2, 2, 0.0)
+    ]
+
+
+def test_sensing_cost_array_rejects_bad_entries():
+    with pytest.raises(ShapeError, match="sensing cost is 2x3, expected 2x2"):
+        _with_costs(np.ones((2, 3)))
+    with pytest.raises(ShapeError, match="sensing cost is 4, expected 2x2"):
+        _with_costs([1.0, 2.0, 3.0, 4.0])
+    # the first bad entry in row-major order is named
+    for bad, shown in ((np.nan, "nan"), (-1.0, "-1.0"), (-np.inf, "-inf")):
+        costs = np.array([[1.0, np.inf], [bad, -5.0]])
+        with pytest.raises(ValidationError) as info:
+            _with_costs(costs)
+        assert str(info.value) == (
+            f"sensing cost for sensor 2, state 1 must be finite and >= 0, got {shown}"
+        )
+
+
+def test_sensing_cost_mapping_rejects_bad_entries():
+    with pytest.raises(ValidationError, match=r"entry \(2, 0\) out of range"):
+        _with_costs({(2, 0): 1.0})
+    with pytest.raises(ValidationError, match=r"entry \(0, -1\) out of range"):
+        _with_costs({(0, -1): 1.0})
+    for bad in (float("inf"), float("nan"), -0.5):
+        with pytest.raises(ValidationError) as info:
+            _with_costs({(0, 0): 1.0, (1, 1): bad})
+        assert str(info.value) == (
+            f"sensing cost for sensor 2, state 2 must be finite and >= 0, got {bad}"
+        )
 
 
 def test_parse_instance_rejects_garbage():
@@ -103,6 +147,11 @@ def test_parse_instance_rejects_garbage():
     bad = json.loads(serialize_instance(small_instance()))
     bad["c"][0]["cost"] = -2
     with pytest.raises(ValidationError, match="cost"):
+        parse_instance(json.dumps(bad))
+
+    bad = json.loads(serialize_instance(small_instance()))
+    bad["c"].append(dict(bad["c"][2]))
+    with pytest.raises(ValidationError, match="duplicate entry for sensor 2, state 1"):
         parse_instance(json.dumps(bad))
 
     bad = json.loads(serialize_instance(small_instance()))
@@ -185,18 +234,13 @@ def test_serialization_is_canonical():
     assert list(doc) == sorted(doc)
 
 
-def test_export_dot_contains_all_arcs():
-    g = WeightedDigraph(3, {(0, 1): 2.0, (1, 2): 1.5})
-    dot = export_dot(g)
-    assert '1 -> 2 [label="2"]' in dot
-    assert '2 -> 3 [label="1.5"]' in dot
-    with pytest.raises(ValidationError):
-        export_dot(g, labels=["a", "b"])
-
-
 def test_export_instance_dot_mentions_both_clusters():
-    dot = export_instance_dot(small_instance())
+    instance = dataclasses.replace(
+        small_instance(), network=WeightedDigraph(2, {(0, 1): 2.0, (1, 0): 1.5})
+    )
+    dot = export_instance_dot(instance)
     assert "cluster_states" in dot
     assert "cluster_sensors" in dot
     assert "x1" in dot and "y2" in dot
-    assert "y1 -> y2" in dot
+    assert 'y1 -> y2 [label="2"]' in dot
+    assert 'y2 -> y1 [label="1.5"]' in dot

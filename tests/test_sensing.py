@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -14,12 +15,14 @@ from obsnet import (
     WeightedDigraph,
     build_parent_cost_matrix,
     digraph_from_pattern,
+    generate_instance,
     hungarian_solve,
     recover_measurement_structure,
     scc_decompose,
     solve_lsap,
 )
 from obsnet.sensing import brute_force_assignment
+from oracles import parent_costs_by_scan
 
 
 def assignment_instance(n, m, costs, pattern=None) -> ProblemInstance:
@@ -60,7 +63,7 @@ def test_parent_cost_matrix_picks_cheapest_state():
     assert matrix.parent_components == ((0, 1), (2,))
     assert matrix.cost[0, 0] == 2.0 and matrix.argmin_state[0, 0] == 1
     assert matrix.cost[0, 1] == 9.0 and matrix.argmin_state[0, 1] == 2
-    assert matrix.is_forbidden(1, 0)
+    assert np.isinf(matrix.cost[1, 0])
     assert matrix.cost[1, 1] == 4.0
 
 
@@ -76,6 +79,23 @@ def test_parent_cost_matrix_tie_prefers_lowest_state():
     partition = scc_decompose(digraph_from_pattern(pattern))
     matrix = build_parent_cost_matrix(instance, partition)
     assert matrix.argmin_state[0, 0] == 0
+
+
+def test_parent_cost_matrix_matches_entry_scan():
+    # costs in {1, 2, 3} make ties inside components common; inf forbids
+    rng = np.random.default_rng(5)
+    for seed in range(60):
+        n = int(rng.integers(2, 12))
+        m = int(rng.integers(1, min(n, 5) + 1))
+        instance = generate_instance(n, m, density=0.3 * (seed % 3), seed=seed)
+        table = rng.integers(1, 4, size=(m, n)).astype(float)
+        table[rng.random((m, n)) < 0.3] = np.inf
+        instance = dataclasses.replace(instance, sensing_cost=table)
+        partition = scc_decompose(digraph_from_pattern(instance.system_pattern))
+        matrix = build_parent_cost_matrix(instance, partition)
+        cost, state = parent_costs_by_scan(instance)
+        assert matrix.cost.tolist() == cost
+        assert matrix.argmin_state.tolist() == state
 
 
 def test_parent_count_mismatch_is_infeasible():

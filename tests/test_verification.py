@@ -150,7 +150,7 @@ def test_kalman_matches_explicit_observability_matrix():
         p = int(rng.integers(1, 3))
         c = np.where(rng.random((p, n)) < 0.5, rng.uniform(0.5, 1.5, (p, n)), 0.0)
         ok, rank = kalman_rank_observable(a, c)
-        assert rank == observability_matrix_rank(a, c)
+        assert rank == exact_observability_rank(a, c)
         assert ok == (rank == n)
 
 
