@@ -7,9 +7,10 @@ and takes the union of a minimum out-branching and a minimum in-branching,
 which costs at most twice the optimum. Exact brute-force oracles back both
 routes for small cases.
 
-Strong connectivity and reachability come from ``structural.reachable``;
-the branching routes check strong connectivity once per network and build
-one dense cost matrix that every root's out- and in-branching reads.
+Strong connectivity and reachability come from ``structural.reachable``.
+On a strongly connected network one root-free contraction per direction
+serves every root; each root's out- and in-branching is then one O(m)
+expansion of it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
 BRUTE_FORCE_MAX_ARCS = 20
 
 Arc = tuple[int, int]
+_NO_KEY = np.iinfo(np.int64).max  # loses every tie-break
 
 
 @dataclass(frozen=True)
@@ -125,103 +127,108 @@ def mst_solve(net: WeightedDigraph) -> NetworkDesign:
 # --- directed case: branchings and their union -----------------------------
 
 
-def _column_argmin(D: np.ndarray, KEY: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column: the row of the cheapest entry, ties by smallest arc key."""
-    colmin = D.min(axis=0)
-    candidates = np.where(D == colmin[None, :], KEY, np.iinfo(np.int64).max)
-    return candidates.argmin(axis=0), colmin
+def _lexmin(vals: np.ndarray, keys: np.ndarray, axis: int):
+    """Position, value and key of the cheapest entry along ``axis``; ties
+    go to the smallest arc key."""
+    low = vals.min(axis=axis, keepdims=True)
+    candidates = np.where(vals == low, keys, _NO_KEY)
+    return candidates.argmin(axis=axis), low.squeeze(axis), candidates.min(axis=axis)
 
 
-def _find_cycle(succ: np.ndarray, root: int, k: int) -> list[int] | None:
-    color = [0] * k  # 0 new, 1 on current walk, 2 finished
-    color[root] = 2
-    for start in range(k):
-        if color[start]:
-            continue
-        path: list[int] = []
-        v = start
+def _contract(D: np.ndarray, KEY: np.ndarray, root: int | None = None):
+    """Edmonds' contraction phase as one loop over in-place cost matrices.
+
+    D[u, v] costs arc u -> v (inf when absent); KEY[u, v] is the key u*m + v
+    of the original arc it stands for. Each node keeps its cheapest in-arc,
+    ties to the smallest key. The first cycle found (walking in-arcs from
+    each start in scan order) becomes a set in its first member's slot, last
+    in scan order; the other members' rows and columns become inf. Into the
+    set an arc costs D minus its head's cheapest in-cost, out of it its own
+    cost; per row and column the cheapest survives, ties by key, so only the
+    set's column needs a new argmin. With ``root``, the root takes no in-arc
+    and the loop ends when no cycle is left: Edmonds at that root. Without,
+    a strongly connected network contracts to one node, and that contraction
+    serves every root (Gabow, Galil, Spencer and Tarjan 1986, section 3).
+    Returns the contraction tree over the sensors 0..m-1, then the sets as
+    they formed: each node's ``parent`` and ``in_key``, the key of its
+    in-arc when it joined a set or the loop ended (-1: none).
+    """
+    m = D.shape[0]
+    best_row, best_cost, _ = _lexmin(D, KEY, 0)
+    parent, in_key = [-1] * m, [-1] * m
+    held, slot_of = list(range(m)), list(range(m))  # slot -> node, node -> slot
+    # per slot: 0 unseen, 1 on the current walk, 2 leads to the root
+    color = [2 if u == root else 0 for u in range(m)]
+    scan, path, v, live = 0, [], None, m
+    while live > 1:
+        if v is None:  # the next unseen live node in scan order starts a walk
+            while scan < len(parent) and (parent[scan] >= 0 or color[slot_of[scan]]):
+                scan += 1
+            if scan == len(parent):
+                break
+            v = slot_of[scan]
         while color[v] == 0:
             color[v] = 1
             path.append(v)
-            v = int(succ[v])
-        cycle = None
-        if color[v] == 1:
-            cycle = path[path.index(v):]
-        for p in path:
-            color[p] = 2
-        if cycle is not None:
-            return cycle
-    return None
+            v = int(best_row[v])
+        if color[v] == 2:
+            for u in path:
+                color[u] = 2
+            path, v = [], None
+            continue
+        cut = path.index(v)
+        cycle, path = path[cut:], path[:cut]
+        s, new = cycle[0], len(parent)
+        for u in cycle:
+            parent[held[u]] = new
+            in_key[held[u]] = int(KEY[best_row[u], u])
+        members = np.array(cycle)
+        _, leave, leave_key = _lexmin(D[members], KEY[members], 0)
+        _, enter, enter_key = _lexmin(D[:, members] - best_cost[members], KEY[:, members], 1)
+        D[s, :], KEY[s, :] = leave, leave_key
+        D[:, s], KEY[:, s] = enter, enter_key
+        D[members[1:], :] = D[:, members[1:]] = np.inf
+        D[s, s] = np.inf
+        best_row[(best_row[:, None] == members).any(axis=1)] = s
+        best_row[s], best_cost[s], _ = _lexmin(D[:, s], KEY[:, s], 0)
+        held[s], color[s] = new, 0
+        slot_of.append(s)
+        parent.append(-1)
+        in_key.append(-1)
+        live -= len(cycle) - 1
+        v = s if path else None
+
+    if root is not None:
+        for s, node in enumerate(held):
+            if parent[node] < 0 and s != root:
+                in_key[node] = int(KEY[best_row[s], s])
+    return parent, in_key
 
 
-def _arborescence(D: np.ndarray, KEY: np.ndarray, root: int) -> list[Arc]:
-    """Recursive cycle-contracting search for a minimum out-branching.
-
-    D[u, v] holds the (adjusted) cost of arc u -> v, inf when absent; KEY
-    carries a total order on the original arcs for deterministic
-    tie-breaking. Returns the selected entries of D as (u, v) pairs; at the
-    top level those are the chosen arcs themselves.
+def _expand(tree, root: int, m: int, forward: bool) -> frozenset[Arc]:
+    """Arcs of the minimum out- (or in-) branching at ``root`` from a
+    contraction tree, in O(m). The root and the sets around it take no
+    in-arc; from the last set down to the sensors, every other node takes
+    its recorded in-arc unless a set around it was entered through it (an
+    entering arc passes down the members holding its head). Keys decode as
+    (key // m, key % m); an in-branching, contracted on D.T, turns around.
     """
-    k = D.shape[0]
-    if k == 1:
-        return []
-    best_row, best_cost = _column_argmin(D, KEY)
-    cycle = _find_cycle(best_row, root, k)
-    if cycle is None:
-        return [(int(best_row[v]), v) for v in range(k) if v != root]
-
-    in_cycle = np.zeros(k, dtype=bool)
-    in_cycle[cycle] = True
-    keep = [v for v in range(k) if not in_cycle[v]]
-    kn = len(keep)
-    c = kn  # index of the contracted supernode
-    cyc = np.array(cycle)
-
-    Dn = np.full((kn + 1, kn + 1), np.inf)
-    Kn = np.zeros((kn + 1, kn + 1), dtype=np.int64)
-    Dn[:kn, :kn] = D[np.ix_(keep, keep)]
-    Kn[:kn, :kn] = KEY[np.ix_(keep, keep)]
-
-    # Arcs entering the cycle compete after paying off the cycle arc they evict.
-    enter = D[np.ix_(keep, cyc)] - best_cost[cyc][None, :]
-    enter_keys = KEY[np.ix_(keep, cyc)]
-    cand = np.where(enter == enter.min(axis=1)[:, None], enter_keys, np.iinfo(np.int64).max)
-    enter_pick = cand.argmin(axis=1)
-    rows = np.arange(kn)
-    Dn[:kn, c] = enter.min(axis=1) if kn else Dn[:kn, c]
-    if kn:
-        Kn[:kn, c] = enter_keys[rows, enter_pick]
-    vsel = cyc[enter_pick] if kn else np.array([], dtype=np.int64)
-
-    # Arcs leaving the cycle keep their cost; cheapest per target survives.
-    leave = D[np.ix_(cyc, keep)]
-    leave_keys = KEY[np.ix_(cyc, keep)]
-    cand = np.where(leave == leave.min(axis=0)[None, :], leave_keys, np.iinfo(np.int64).max)
-    leave_pick = cand.argmin(axis=0)
-    if kn:
-        Dn[c, :kn] = leave.min(axis=0)
-        Kn[c, :kn] = leave_keys[leave_pick, rows]
-    wsel = cyc[leave_pick] if kn else np.array([], dtype=np.int64)
-
-    sub = _arborescence(Dn, Kn, keep.index(root))
-
-    entering_head: int | None = None
-    selected: list[Arc] = []
-    for (i2, j2) in sub:
-        if j2 == c:
-            u, v = keep[i2], int(vsel[i2])
-            selected.append((u, v))
-            entering_head = v
-        elif i2 == c:
-            v = keep[j2]
-            selected.append((int(wsel[j2]), v))
-        else:
-            selected.append((keep[i2], keep[j2]))
-    assert entering_head is not None, "contracted node must receive exactly one arc"
-    for v in cycle:
-        if v != entering_head:
-            selected.append((int(best_row[v]), v))
-    return selected
+    parent, in_key = tree
+    done = [False] * len(parent)
+    x = root
+    while x >= 0:
+        done[x] = True
+        x = parent[x]
+    arcs = []
+    for x in range(len(parent) - 1, -1, -1):
+        if done[x]:
+            continue
+        u, v = divmod(in_key[x], m)
+        arcs.append((u, v) if forward else (v, u))
+        while v != x:
+            done[v] = True
+            v = parent[v]
+    return frozenset(arcs)
 
 
 def _cost_matrices(net: WeightedDigraph) -> tuple[np.ndarray, np.ndarray]:
@@ -230,21 +237,8 @@ def _cost_matrices(net: WeightedDigraph) -> tuple[np.ndarray, np.ndarray]:
     D = np.full((m, m), np.inf)
     for (u, v), cost in net.arcs.items():
         D[u, v] = cost
-    KEY = (np.arange(m)[:, None] * m + np.arange(m)[None, :]).astype(np.int64)
+    KEY = np.arange(m * m, dtype=np.int64).reshape(m, m)
     return D, KEY
-
-
-def _branching(D: np.ndarray, KEY: np.ndarray, root: int, forward: bool) -> frozenset[Arc]:
-    """Arcs of a minimum out- (or in-) branching at ``root``; the caller has
-    checked that one spans.
-
-    The in-branching is the out-branching of the reversed network, whose
-    cost matrix is D.T. It keeps KEY, which orders the reversed arcs as a
-    reversed network built from scratch would, so ties break the same way.
-    """
-    if forward:
-        return frozenset(_arborescence(D, KEY, root))
-    return frozenset((v, u) for (u, v) in _arborescence(D.T, KEY, root))
 
 
 def min_branching(
@@ -272,8 +266,9 @@ def min_branching(
             f"no spanning {direction}-branching: sensor {missing} is not"
             f" {rel} root sensor {root + 1}"
         )
+    # in: the out-branching of D.T, whose keys order arcs as a reversed network's
     D, KEY = _cost_matrices(net)
-    arcs = _branching(D, KEY, root, forward)
+    arcs = _expand(_contract(D if forward else D.T, KEY, root), root, m, forward)
     return arcs, _arcs_cost(net, arcs)
 
 
@@ -288,12 +283,16 @@ def _best_union(net: WeightedDigraph, roots) -> NetworkDesign:
             "candidate network is not strongly connected; no strongly"
             " connected spanning subgraph exists"
         )
-    D, KEY = _cost_matrices(net)
-    best: NetworkDesign | None = None
+    roots = list(roots)
     for root in roots:
         if not (0 <= root < m):
             raise ShapeError(f"root {root} out of range for {m} sensors")
-        selected = _branching(D, KEY, root, True) | _branching(D, KEY, root, False)
+    D, KEY = _cost_matrices(net)
+    out_tree = _contract(D.copy(), KEY.copy())
+    in_tree = _contract(D.T, KEY)
+    best: NetworkDesign | None = None
+    for root in roots:
+        selected = _expand(out_tree, root, m, True) | _expand(in_tree, root, m, False)
         cost = _arcs_cost(net, selected)
         if best is None or cost < best.total_cost:
             best = NetworkDesign(selected, cost, "branching-union", root, 1.0)

@@ -4,7 +4,8 @@ Everything here recomputes results from definitions, on purpose sharing no
 code with the library: reachability closure instead of Tarjan, permutation
 scans instead of matching or assignment solvers, explicit stacked
 observability matrices instead of subspace iteration. Slow and small, but
-trusted.
+trusted. ``reference_branching`` is the recursive per-root Edmonds search
+the library once ran, kept unchanged as the tie-break reference.
 """
 
 from __future__ import annotations
@@ -145,6 +146,146 @@ def brute_force_branching_cost(
         cost = sum(work.arcs[a] for a in pick)
         if best is None or cost < best:
             best = cost
+    return best
+
+
+# --- the recursive branching the library replaced, kept as the reference ---
+#
+# One cycle contraction per recursion level, each level a fresh (k+1)^2 copy
+# of the cost matrix. Slow and deep, so keep its inputs small (m <= 30): at
+# m >= 1000 it holds gigabytes before Python's recursion limit trips.
+
+Arc = tuple[int, int]
+
+
+def _column_argmin(D: np.ndarray, KEY: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column: the row of the cheapest entry, ties by smallest arc key."""
+    colmin = D.min(axis=0)
+    candidates = np.where(D == colmin[None, :], KEY, np.iinfo(np.int64).max)
+    return candidates.argmin(axis=0), colmin
+
+
+def _find_cycle(succ: np.ndarray, root: int, k: int) -> list[int] | None:
+    color = [0] * k  # 0 new, 1 on current walk, 2 finished
+    color[root] = 2
+    for start in range(k):
+        if color[start]:
+            continue
+        path: list[int] = []
+        v = start
+        while color[v] == 0:
+            color[v] = 1
+            path.append(v)
+            v = int(succ[v])
+        cycle = None
+        if color[v] == 1:
+            cycle = path[path.index(v):]
+        for p in path:
+            color[p] = 2
+        if cycle is not None:
+            return cycle
+    return None
+
+
+def reference_branching(D: np.ndarray, KEY: np.ndarray, root: int) -> list[Arc]:
+    """Recursive cycle-contracting search for a minimum out-branching.
+
+    D[u, v] holds the (adjusted) cost of arc u -> v, inf when absent; KEY
+    carries a total order on the original arcs for deterministic
+    tie-breaking. Returns the selected entries of D as (u, v) pairs; at the
+    top level those are the chosen arcs themselves.
+    """
+    k = D.shape[0]
+    if k == 1:
+        return []
+    best_row, best_cost = _column_argmin(D, KEY)
+    cycle = _find_cycle(best_row, root, k)
+    if cycle is None:
+        return [(int(best_row[v]), v) for v in range(k) if v != root]
+
+    in_cycle = np.zeros(k, dtype=bool)
+    in_cycle[cycle] = True
+    keep = [v for v in range(k) if not in_cycle[v]]
+    kn = len(keep)
+    c = kn  # index of the contracted supernode
+    cyc = np.array(cycle)
+
+    Dn = np.full((kn + 1, kn + 1), np.inf)
+    Kn = np.zeros((kn + 1, kn + 1), dtype=np.int64)
+    Dn[:kn, :kn] = D[np.ix_(keep, keep)]
+    Kn[:kn, :kn] = KEY[np.ix_(keep, keep)]
+
+    # Arcs entering the cycle compete after paying off the cycle arc they evict.
+    enter = D[np.ix_(keep, cyc)] - best_cost[cyc][None, :]
+    enter_keys = KEY[np.ix_(keep, cyc)]
+    cand = np.where(enter == enter.min(axis=1)[:, None], enter_keys, np.iinfo(np.int64).max)
+    enter_pick = cand.argmin(axis=1)
+    rows = np.arange(kn)
+    Dn[:kn, c] = enter.min(axis=1) if kn else Dn[:kn, c]
+    if kn:
+        Kn[:kn, c] = enter_keys[rows, enter_pick]
+    vsel = cyc[enter_pick] if kn else np.array([], dtype=np.int64)
+
+    # Arcs leaving the cycle keep their cost; cheapest per target survives.
+    leave = D[np.ix_(cyc, keep)]
+    leave_keys = KEY[np.ix_(cyc, keep)]
+    cand = np.where(leave == leave.min(axis=0)[None, :], leave_keys, np.iinfo(np.int64).max)
+    leave_pick = cand.argmin(axis=0)
+    if kn:
+        Dn[c, :kn] = leave.min(axis=0)
+        Kn[c, :kn] = leave_keys[leave_pick, rows]
+    wsel = cyc[leave_pick] if kn else np.array([], dtype=np.int64)
+
+    sub = reference_branching(Dn, Kn, keep.index(root))
+
+    entering_head: int | None = None
+    selected: list[Arc] = []
+    for (i2, j2) in sub:
+        if j2 == c:
+            u, v = keep[i2], int(vsel[i2])
+            selected.append((u, v))
+            entering_head = v
+        elif i2 == c:
+            v = keep[j2]
+            selected.append((int(wsel[j2]), v))
+        else:
+            selected.append((keep[i2], keep[j2]))
+    assert entering_head is not None, "contracted node must receive exactly one arc"
+    for v in cycle:
+        if v != entering_head:
+            selected.append((int(best_row[v]), v))
+    return selected
+
+
+
+def cost_matrices(net: WeightedDigraph) -> tuple[np.ndarray, np.ndarray]:
+    """Dense arc costs (inf when absent) and the arc keys KEY[u, v] = u*m + v."""
+    m = net.node_count
+    D = np.full((m, m), np.inf)
+    for (u, v), cost in net.arcs.items():
+        D[u, v] = cost
+    KEY = np.arange(m * m, dtype=np.int64).reshape(m, m)
+    return D, KEY
+
+
+def reference_arcs(net: WeightedDigraph, root: int, direction: str) -> frozenset[Arc]:
+    """The reference's minimum out- or in-branching at ``root``; the in-branching
+    is the out-branching of D.T under the same keys."""
+    D, KEY = cost_matrices(net)
+    if direction == "out":
+        return frozenset(reference_branching(D, KEY, root))
+    return frozenset((v, u) for (u, v) in reference_branching(D.T, KEY, root))
+
+
+def reference_best_union(net: WeightedDigraph):
+    """(arcs, root, cost) of the cheapest per-root branching union; the
+    first root wins a tie."""
+    best = None
+    for r in range(net.node_count):
+        arcs = reference_arcs(net, r, "out") | reference_arcs(net, r, "in")
+        cost = float(sum(float(net.arcs[a]) for a in sorted(arcs)))
+        if best is None or cost < best[2]:
+            best = (arcs, r, cost)
     return best
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from obsnet import (
     msss_best_root,
     mst_solve,
 )
-from oracles import brute_force_branching_cost
+from oracles import brute_force_branching_cost, reference_arcs, reference_best_union
 
 
 def ring(m, cost=1.0) -> WeightedDigraph:
@@ -226,15 +228,101 @@ def test_msss_best_root_beats_or_ties_every_root():
         m = int(rng.integers(2, 7))
         net = random_sc_digraph(rng, m, extra=0.5, max_cost=4)
         best = msss_best_root(net)
-        ref_arcs, ref_root, ref_cost = None, None, None
+        assert (best.selected_arcs, best.root, best.total_cost) == reference_best_union(net)
+
+
+def tie_heavy_digraph(rng, m) -> WeightedDigraph:
+    """Strongly connected, with every cost drawn from {1}, {1, 2} or {1, 2, 3}."""
+    top = int(rng.integers(1, 4))
+    return random_sc_digraph(rng, m, extra=float(rng.choice([0.2, 0.5, 0.9])), max_cost=top + 1)
+
+
+def test_branchings_match_recursive_reference_on_ties():
+    # one root-free contraction per direction must pick, at every root, the
+    # arcs the per-root recursive search picks among tied optima
+    rng = np.random.default_rng(61)
+    for _ in range(510):
+        m = int(rng.integers(2, 10))
+        net = tie_heavy_digraph(rng, m)
         for r in range(m):
-            arcs = min_branching(net, r, "out")[0] | min_branching(net, r, "in")[0]
-            cost = float(sum(net.arcs[a] for a in sorted(arcs)))
-            if ref_cost is None or cost < ref_cost:
-                ref_arcs, ref_root, ref_cost = arcs, r, cost
-        assert best.selected_arcs == ref_arcs
-        assert best.root == ref_root
-        assert best.total_cost == ref_cost
+            for direction in ("out", "in"):
+                assert min_branching(net, r, direction)[0] == reference_arcs(net, r, direction)
+        best = msss_best_root(net)
+        assert (best.selected_arcs, best.root, best.total_cost) == reference_best_union(net)
+
+
+def test_rooted_branching_matches_reference_off_strong_networks():
+    # min_branching keeps serving networks that are not strongly connected
+    rng = np.random.default_rng(67)
+    for _ in range(150):
+        m = int(rng.integers(2, 9))
+        arcs = {
+            (u, v): float(rng.integers(1, 4))
+            for u in range(m)
+            for v in range(m)
+            if u != v and rng.random() < 0.4
+        }
+        net = WeightedDigraph(m, arcs)
+        for r in range(m):
+            for direction in ("out", "in"):
+                try:
+                    got = min_branching(net, r, direction)[0]
+                except InfeasibleError:
+                    continue
+                assert got == reference_arcs(net, r, direction)
+
+
+def test_branching_cost_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        m = int(rng.integers(2, 12))
+        arcs = {
+            (u, v): float(rng.uniform(0.0, 10.0))
+            for u in range(m)
+            for v in range(m)
+            if u != v and rng.random() < 0.45
+        }
+        net = WeightedDigraph(m, arcs)
+        root = int(rng.integers(m))
+        for direction in ("out", "in"):
+            g = nx.DiGraph()
+            g.add_nodes_from(range(m))
+            for (u, v), c in arcs.items():
+                tail, head = (u, v) if direction == "out" else (v, u)
+                if head != root:  # no arc enters the root, so it roots any arborescence
+                    g.add_edge(tail, head, weight=c)
+            try:
+                expect = nx.minimum_spanning_arborescence(g).size(weight="weight")
+            except nx.NetworkXException:
+                expect = None
+            try:
+                got = min_branching(net, root, direction)[1]
+            except InfeasibleError:
+                got = None
+            if expect is None or got is None:
+                assert expect is got is None
+            else:
+                assert got == pytest.approx(expect, abs=1e-9)
+
+
+def test_deep_path_contracts_in_small_memory():
+    # directed-hard's path shape: every in-arc choice forms a 2-cycle, so
+    # the search contracts 399 times; the recursive form held 355 MB here
+    m = 400
+    arcs = {}
+    for u in range(m - 1):
+        arcs[(u, u + 1)] = arcs[(u + 1, u)] = 100.0 if u == 0 else 1.0
+    net = WeightedDigraph(m, arcs)
+    tracemalloc.start()
+    try:
+        design = msss_2approx(net, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert design.selected_arcs == frozenset(arcs)
+    assert design.total_cost == 2 * (100 + 398)
+    assert peak < 50e6
 
 
 def test_msss_single_node():
