@@ -102,6 +102,7 @@ class WeightedDigraph:
                 raise ValidationError(f"arc ({u}, {v}) out of range")
             if not (isinstance(cost, (int, float)) and math.isfinite(cost)) or cost < 0:
                 raise ValidationError(f"arc ({u}, {v}) cost must be finite and >= 0, got {cost}")
+            arcs[(u, v)] = float(cost)  # an int cost would serialize as 1, parse as 1.0
         object.__setattr__(self, "arcs", arcs)
 
     def reversed(self) -> "WeightedDigraph":

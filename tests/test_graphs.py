@@ -73,6 +73,15 @@ def test_generated_instance_roundtrip():
         assert serialize_instance(parse_instance(text)) == text
 
 
+def test_int_link_costs_roundtrip_byte_stable():
+    instance = dataclasses.replace(
+        small_instance(), network=WeightedDigraph(2, {(0, 1): 1, (1, 0): 3})
+    )
+    text = serialize_instance(instance)
+    assert serialize_instance(parse_instance(text)) == text
+    assert '"cost": 1.0' in text and '"cost": 3.0' in text
+
+
 def _with_costs(costs) -> ProblemInstance:
     return dataclasses.replace(small_instance(), sensing_cost=costs)
 
