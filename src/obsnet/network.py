@@ -266,7 +266,7 @@ def min_branching(
             f"no spanning {direction}-branching: sensor {missing} is not"
             f" {rel} root sensor {root + 1}"
         )
-    # in: the out-branching of D.T, whose keys order arcs as a reversed network's
+    # "in" is the out-branching of D.T; KEY stays, so ties break as on a reversed net
     D, KEY = _cost_matrices(net)
     arcs = _expand(_contract(D if forward else D.T, KEY, root), root, m, forward)
     return arcs, _arcs_cost(net, arcs)

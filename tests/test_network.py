@@ -231,19 +231,15 @@ def test_msss_best_root_beats_or_ties_every_root():
         assert (best.selected_arcs, best.root, best.total_cost) == reference_best_union(net)
 
 
-def tie_heavy_digraph(rng, m) -> WeightedDigraph:
-    """Strongly connected, with every cost drawn from {1}, {1, 2} or {1, 2, 3}."""
-    top = int(rng.integers(1, 4))
-    return random_sc_digraph(rng, m, extra=float(rng.choice([0.2, 0.5, 0.9])), max_cost=top + 1)
-
-
 def test_branchings_match_recursive_reference_on_ties():
     # one root-free contraction per direction must pick, at every root, the
-    # arcs the per-root recursive search picks among tied optima
+    # arcs the per-root recursive search picks among tied optima; costs come
+    # from {1}, {1, 2} or {1, 2, 3}
     rng = np.random.default_rng(61)
     for _ in range(510):
         m = int(rng.integers(2, 10))
-        net = tie_heavy_digraph(rng, m)
+        extra, top = float(rng.choice([0.2, 0.5, 0.9])), int(rng.integers(1, 4))
+        net = random_sc_digraph(rng, m, extra=extra, max_cost=top + 1)
         for r in range(m):
             for direction in ("out", "in"):
                 assert min_branching(net, r, direction)[0] == reference_arcs(net, r, direction)
