@@ -257,7 +257,6 @@ def reference_branching(D: np.ndarray, KEY: np.ndarray, root: int) -> list[Arc]:
     return selected
 
 
-
 def cost_matrices(net: WeightedDigraph) -> tuple[np.ndarray, np.ndarray]:
     """Dense arc costs (inf when absent) and the arc keys KEY[u, v] = u*m + v."""
     m = net.node_count
