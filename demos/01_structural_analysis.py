@@ -3,19 +3,19 @@
 Six states: a 3-cycle feeding a 2-cycle, plus one self-loop state. The
 3-cycle drains into the 2-cycle, so only the 2-cycle and the self-loop are
 parent components and any observable measurement set must touch both.
+The pattern is the state digraph: ``scc_decompose`` reads it directly.
 """
 
 from obsnet import (
     StructuredMatrix,
     check_structural_observability,
-    digraph_from_pattern,
     is_structurally_full_rank,
     scc_decompose,
 )
 
 
 def main() -> None:
-    # pattern entry (i, j) means state j drives state i
+    # pattern entry (i, j) means state j drives state i: the arc x_j -> x_i
     nonzeros = {
         (1, 0), (2, 1), (0, 2),   # states 0,1,2 form a cycle
         (4, 3), (3, 4),           # states 3,4 form a cycle
@@ -26,7 +26,7 @@ def main() -> None:
 
     print("structurally full rank:", is_structurally_full_rank(pattern))
 
-    partition = scc_decompose(digraph_from_pattern(pattern))
+    partition = scc_decompose(pattern)
     for comp, kind in zip(partition.components, partition.kinds):
         states = ", ".join(f"x{v + 1}" for v in comp)
         print(f"  component {{{states}}}: {kind}")

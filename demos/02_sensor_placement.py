@@ -15,7 +15,6 @@ from obsnet import (
     WeightedDigraph,
     brute_force_assignment,
     build_parent_cost_matrix,
-    digraph_from_pattern,
     hungarian_solve,
     recover_measurement_structure,
     scc_decompose,
@@ -38,7 +37,8 @@ def main() -> None:
         network=WeightedDigraph(2, {(0, 1): 1.0, (1, 0): 1.0}),
     )
 
-    partition = scc_decompose(digraph_from_pattern(pattern))
+    # the SCC pass reads the system pattern itself as the state digraph
+    partition = scc_decompose(pattern)
     matrix = build_parent_cost_matrix(instance, partition)
     print("parent cost matrix (rows = sensors, cols = parent components):")
     print(matrix.cost)

@@ -21,11 +21,9 @@ from .errors import (
 from .generate import generate_instance
 from .graphs import (
     DesignResult,
-    Digraph,
     ProblemInstance,
     StructuredMatrix,
     WeightedDigraph,
-    digraph_from_pattern,
     export_instance_dot,
     parse_design,
     parse_instance,
@@ -53,9 +51,9 @@ from .sensing import (
 )
 from .structural import (
     SccPartition,
+    arcs_strongly_connected,
     check_distributed_observability_structural,
     check_structural_observability,
-    is_strongly_connected,
     is_structurally_full_rank,
     max_bipartite_matching,
     scc_decompose,
@@ -73,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DesignResult",
-    "Digraph",
     "GuardError",
     "InfeasibleError",
     "NetworkDesign",
@@ -88,6 +85,7 @@ __all__ = [
     "ValidationError",
     "VerificationReport",
     "WeightedDigraph",
+    "arcs_strongly_connected",
     "brute_force_assignment",
     "brute_force_msss",
     "brute_force_mst",
@@ -96,11 +94,9 @@ __all__ = [
     "check_structural_observability",
     "derive_seed",
     "design_instance",
-    "digraph_from_pattern",
     "export_instance_dot",
     "generate_instance",
     "hungarian_solve",
-    "is_strongly_connected",
     "is_structurally_full_rank",
     "kalman_rank_observable",
     "make_row_stochastic",

@@ -29,7 +29,6 @@ from .network import brute_force_msss, brute_force_mst
 from .sensing import brute_force_assignment, hungarian_solve
 from .structural import (
     arcs_strongly_connected,
-    digraph_from_pattern,
     is_structurally_full_rank,
     scc_decompose,
 )
@@ -72,7 +71,7 @@ def _print_error(exc: BaseException) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input)
-    partition = scc_decompose(digraph_from_pattern(instance.system_pattern))
+    partition = scc_decompose(instance.system_pattern)
     doc = {
         "n": instance.n,
         "m": instance.m,

@@ -24,7 +24,7 @@ from .sensing import (
     hungarian_solve,
     recover_measurement_structure,
 )
-from .structural import digraph_from_pattern, is_structurally_full_rank, scc_decompose
+from .structural import is_structurally_full_rank, scc_decompose
 
 __all__ = ["design_instance"]
 
@@ -37,7 +37,7 @@ def parent_costs(instance: ProblemInstance) -> ParentCostMatrix:
             "system pattern is not structurally full rank; the design"
             " pipeline covers structurally full-rank systems only"
         )
-    partition = scc_decompose(digraph_from_pattern(instance.system_pattern))
+    partition = scc_decompose(instance.system_pattern)
     return build_parent_cost_matrix(instance, partition)
 
 

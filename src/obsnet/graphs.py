@@ -1,10 +1,11 @@
-"""Structured matrices, digraphs and the problem instance data model.
+"""Structured matrices, weighted networks and the problem instance data model.
 
 Everything here is a plain immutable value: a sparsity pattern is a set of
-(row, col) pairs, a digraph is a set of arcs, and a problem instance bundles
-the system pattern with a read-only (m, n) array of sensing costs, where
-``inf`` marks a (sensor, state) pair that may not be measured, and a
-candidate communication network.
+(row, col) pairs, and a square one is also the state digraph (see
+``structural.scc_decompose``); a network maps each link to its cost; a
+problem instance bundles the system pattern with a read-only (m, n) array
+of sensing costs, where ``inf`` marks a (sensor, state) pair that may not
+be measured, and a candidate communication network.
 Node and matrix indices are 0-based in memory; the JSON documents use
 1-based indices, and the converters in this module are the only place the
 two conventions meet.
@@ -23,11 +24,9 @@ from .errors import ShapeError, ValidationError
 
 __all__ = [
     "StructuredMatrix",
-    "Digraph",
     "WeightedDigraph",
     "ProblemInstance",
     "DesignResult",
-    "digraph_from_pattern",
     "parse_instance",
     "serialize_instance",
     "parse_design",
@@ -69,26 +68,6 @@ class StructuredMatrix:
 
 
 @dataclass(frozen=True)
-class Digraph:
-    """Directed graph on nodes 0..node_count-1 with a set of arcs."""
-
-    node_count: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        for (u, v) in self.edges:
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise ValidationError(f"edge ({u}, {v}) out of range")
-
-    def successors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.node_count)]
-        for (u, v) in sorted(self.edges):
-            adj[u].append(v)
-        return adj
-
-
-@dataclass(frozen=True)
 class WeightedDigraph:
     """Directed graph with a nonnegative cost per arc; absent arcs are forbidden."""
 
@@ -104,11 +83,6 @@ class WeightedDigraph:
                 raise ValidationError(f"arc ({u}, {v}) cost must be finite and >= 0, got {cost}")
             arcs[(u, v)] = float(cost)  # an int cost would serialize as 1, parse as 1.0
         object.__setattr__(self, "arcs", arcs)
-
-    def reversed(self) -> "WeightedDigraph":
-        return WeightedDigraph(
-            self.node_count, {(v, u): c for (u, v), c in self.arcs.items()}
-        )
 
     def is_symmetric(self) -> bool:
         for (u, v), c in self.arcs.items():
@@ -222,19 +196,6 @@ class DesignResult:
         w = self.network_pattern
         if w.rows != w.cols or w.rows != h.rows:
             raise ShapeError("network pattern must be m x m for m sensors")
-
-
-def digraph_from_pattern(pattern: StructuredMatrix) -> Digraph:
-    """State digraph of a square pattern: nonzero (i, j) becomes the arc j -> i.
-
-    Column j of the pattern multiplies state j, so a nonzero in row i means
-    state j influences state i.
-    """
-    if not pattern.is_square:
-        raise ShapeError(
-            f"state digraph needs a square pattern, got {pattern.rows}x{pattern.cols}"
-        )
-    return Digraph(pattern.rows, frozenset((j, i) for (i, j) in pattern.nonzeros))
 
 
 # --- JSON documents -------------------------------------------------------

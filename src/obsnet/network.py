@@ -154,7 +154,9 @@ def _contract(D: np.ndarray, KEY: np.ndarray, root: int | None = None):
     in-arc when it joined a set or the loop ended (-1: none).
     """
     m = D.shape[0]
-    best_row, best_cost, _ = _lexmin(D, KEY, 0)
+    # KEY starts as u*m + v, growing down every column of D and of D.T, so
+    # the first row's arc is the smallest-key tie: a plain argmin suffices
+    best_row, best_cost = D.argmin(axis=0), D.min(axis=0)
     parent, in_key = [-1] * m, [-1] * m
     held, slot_of = list(range(m)), list(range(m))  # slot -> node, node -> slot
     # per slot: 0 unseen, 1 on the current walk, 2 leads to the root

@@ -1,11 +1,12 @@
 """Strongly connected components and structural observability tests.
 
-A state digraph decomposes into strongly connected components; the
-components with no outgoing edges in the condensation are the sinks, called
-parent components here. For a structurally full-rank system pattern,
-structural observability holds exactly when every parent component contains
-at least one measured state, and the distributed variant additionally needs
-one sensor per parent component with a strongly connected sensor network.
+The state digraph is the system pattern itself, nonzero (i, j) being the
+arc j -> i. Its strongly connected components with no outgoing arcs in the
+condensation are the sinks, called parent components here. For a
+structurally full-rank system pattern, structural observability holds
+exactly when every parent component contains at least one measured state,
+and the distributed variant additionally needs one sensor per parent
+component with a strongly connected sensor network.
 
 Reachability lives here too: ``reachable`` is the one breadth-first search
 over an arc list, and every strong-connectivity test in the package, the
@@ -19,12 +20,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ScopeError, ShapeError, ValidationError
-from .graphs import Digraph, ProblemInstance, StructuredMatrix, digraph_from_pattern
+from .graphs import ProblemInstance, StructuredMatrix
 
 __all__ = [
     "SccPartition",
     "scc_decompose",
-    "is_strongly_connected",
+    "arcs_strongly_connected",
     "max_bipartite_matching",
     "is_structurally_full_rank",
     "check_structural_observability",
@@ -66,10 +67,17 @@ class SccPartition:
         }
 
 
-def _tarjan_components(g: Digraph) -> list[list[int]]:
+def _row_lists(pattern: StructuredMatrix) -> list[list[int]]:
+    """The columns of each row's nonzeros, ascending."""
+    rows: list[list[int]] = [[] for _ in range(pattern.rows)]
+    for (i, j) in pattern.sorted_pairs():
+        rows[i].append(j)
+    return rows
+
+
+def _tarjan_components(adj: list[list[int]]) -> list[list[int]]:
     """Tarjan's SCC algorithm with an explicit stack (no recursion limit)."""
-    n = g.node_count
-    adj = g.successors()
+    n = len(adj)
     UNVISITED = -1
     index = [UNVISITED] * n
     lowlink = [0] * n
@@ -117,23 +125,28 @@ def _tarjan_components(g: Digraph) -> list[list[int]]:
     return components
 
 
-def scc_decompose(g: Digraph) -> SccPartition:
-    """Partition a digraph into SCCs and label each one parent or child.
+def scc_decompose(pattern: StructuredMatrix) -> SccPartition:
+    """SCCs of a square pattern's state digraph, each labelled parent or child.
 
-    A component is a parent exactly when it has no edge leaving it in the
-    condensation, i.e. it is a sink of the component DAG.
+    Nonzero (i, j) is the arc j -> i (state j drives state i). Tarjan walks
+    the rows, i.e. the reversed digraph, which has the same components. The
+    condensation holds (component of j, component of i) for each nonzero
+    across components; a parent is a component no condensation arc leaves.
     """
-    raw = _tarjan_components(g)
+    if not pattern.is_square:
+        raise ShapeError(
+            f"state digraph needs a square pattern, got {pattern.rows}x{pattern.cols}"
+        )
+    raw = _tarjan_components(_row_lists(pattern))
     components = tuple(tuple(sorted(c)) for c in sorted(raw, key=min))
-    component_of = [0] * g.node_count
+    component_of = [0] * pattern.rows
     for k, comp in enumerate(components):
         for v in comp:
             component_of[v] = k
     condensation = set()
-    for (u, v) in g.edges:
-        cu, cv = component_of[u], component_of[v]
-        if cu != cv:
-            condensation.add((cu, cv))
+    for (i, j) in pattern.nonzeros:
+        if component_of[i] != component_of[j]:
+            condensation.add((component_of[j], component_of[i]))
     has_out = {cu for (cu, _) in condensation}
     kinds = tuple(CHILD if k in has_out else PARENT for k in range(len(components)))
     return SccPartition(
@@ -172,11 +185,6 @@ def arcs_strongly_connected(node_count: int, arcs: Iterable[tuple[int, int]]) ->
     return node_count <= 1 or (
         all(reachable(node_count, arcs, 0, True)) and all(reachable(node_count, arcs, 0, False))
     )
-
-
-def is_strongly_connected(g: Digraph) -> bool:
-    """True iff every node reaches every other node (exactly one SCC)."""
-    return arcs_strongly_connected(g.node_count, g.edges)
 
 
 def max_bipartite_matching(adjacency: list[list[int]], n_right: int) -> dict[int, int]:
@@ -242,12 +250,7 @@ def is_structurally_full_rank(pattern: StructuredMatrix) -> bool:
             f"structural rank test needs a square pattern,"
             f" got {pattern.rows}x{pattern.cols}"
         )
-    n = pattern.rows
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for (i, j) in sorted(pattern.nonzeros):
-        adjacency[i].append(j)
-    matching = max_bipartite_matching(adjacency, n)
-    return len(matching) == n
+    return len(max_bipartite_matching(_row_lists(pattern), pattern.cols)) == pattern.rows
 
 
 def _parent_test(
@@ -266,7 +269,7 @@ def _parent_test(
             f" expected {a_pattern.cols}"
         )
     measured = {j for (_, j) in h_pattern.nonzeros}
-    partition = scc_decompose(digraph_from_pattern(a_pattern))
+    partition = scc_decompose(a_pattern)
     observable = all(
         any(v in measured for v in comp) for comp in partition.parent_components()
     )

@@ -53,16 +53,19 @@ class VerificationReport:
         }
 
 
-def realize_numeric(
-    pattern: StructuredMatrix,
-    rng: np.random.Generator,
-    low: float = 0.5,
-    high: float = 1.5,
-) -> np.ndarray:
-    """Fill the nonzeros of a pattern with draws from [low, high)."""
+def _check_tolerance(tolerance: float) -> None:
+    # at or below 0 rounding noise counts as rank, so deficits pass; at or
+    # above 1, or NaN, no direction counts, so every trial fails
+    if not 0 < tolerance < 1:
+        raise ValidationError(f"tolerance must be in (0, 1), got {tolerance}")
+
+
+def realize_numeric(pattern: StructuredMatrix, rng: np.random.Generator) -> np.ndarray:
+    """Fill the nonzeros of a pattern with draws from [0.5, 1.5), one draw
+    per nonzero in sorted (row, col) order."""
     out = np.zeros((pattern.rows, pattern.cols))
-    for (i, j) in pattern.sorted_pairs():
-        out[i, j] = rng.uniform(low, high)
+    pairs = np.array(pattern.sorted_pairs(), dtype=np.intp).reshape(-1, 2)
+    out[pairs[:, 0], pairs[:, 1]] = rng.uniform(0.5, 1.5, size=len(pairs))
     return out
 
 
@@ -80,9 +83,7 @@ def make_row_stochastic(
             f"link pattern must be square, got {pattern.rows}x{pattern.cols}"
         )
     m = pattern.rows
-    w = np.zeros((m, m))
-    for (i, j) in pattern.sorted_pairs():
-        w[i, j] = rng.uniform(0.5, 1.5)
+    w = realize_numeric(pattern, rng)
     w[np.arange(m), np.arange(m)] = rng.uniform(0.5, 1.5, size=m)
     return w / w.sum(axis=1, keepdims=True)
 
@@ -129,6 +130,7 @@ def kalman_rank_observable(
         raise ShapeError(f"state matrix must be square, got {a.shape}")
     if c.shape[1] != n:
         raise ShapeError(f"output map has {c.shape[1]} columns, expected {n}")
+    _check_tolerance(tolerance)
     rank = _rowspace_rank(lambda rows: rows @ a, c, n, tolerance)
     return rank == n, rank
 
@@ -209,6 +211,7 @@ def verify_design_numeric(
     """
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
+    _check_tolerance(tolerance)
     h = design.measurement_pattern
     w = design.network_pattern
     if not check_distributed_observability_structural(instance, h, w):

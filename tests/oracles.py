@@ -121,9 +121,9 @@ def brute_force_branching_cost(
 ) -> float | None:
     """Minimum spanning branching by scanning arc choices; None if infeasible."""
     m = net.node_count
-    work = net if direction == "out" else net.reversed()
+    work = net.arcs if direction == "out" else {(v, u): c for (u, v), c in net.arcs.items()}
     candidates = [
-        [(u, v) for (u, v) in sorted(work.arcs) if v == node]
+        [(u, v) for (u, v) in sorted(work) if v == node]
         for node in range(m)
         if node != root
     ]
@@ -143,7 +143,7 @@ def brute_force_branching_cost(
                 break
         if not ok:
             continue
-        cost = sum(work.arcs[a] for a in pick)
+        cost = sum(work[a] for a in pick)
         if best is None or cost < best:
             best = cost
     return best

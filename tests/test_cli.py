@@ -165,6 +165,21 @@ def test_verify_refuses_gate_failure(tmp_path, capsys):
     assert "structural gate" in body["message"]
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf", "1.5"])
+def test_verify_rejects_meaningless_tolerance(tmp_path, capsys, tol):
+    # verify-probe's instance fails 1 trial of 20 at 1e-8: a tolerance <= 0
+    # would pass that trial, 1.5 would fail all, and nan or inf is no JSON
+    path, _ = _gen(tmp_path, n=12, m=2, density=0.3, seed=1856036422)
+    design = tmp_path / "d.json"
+    assert run(["design", "--in", str(path), "--out", str(design)]) == 0
+    capsys.readouterr()
+    code = run(["verify", "--in", str(path), "--design", str(design), "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["kind"] == "validation"
+
+
 def test_oracle_agreement(tmp_path, capsys):
     path, _ = _gen(tmp_path, n=5, m=4, density=0.15, seed=8)
     assert run(["oracle", "--in", str(path)]) == 0

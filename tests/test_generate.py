@@ -3,7 +3,6 @@ import pytest
 
 from obsnet import (
     ValidationError,
-    digraph_from_pattern,
     generate_instance,
     is_structurally_full_rank,
     scc_decompose,
@@ -21,7 +20,7 @@ def test_generated_structure_guarantees():
         assert instance.n == n and instance.m == m
         assert is_structurally_full_rank(instance.system_pattern)
         assert has_spanning_cycle_family(n, instance.system_pattern.nonzeros)
-        partition = scc_decompose(digraph_from_pattern(instance.system_pattern))
+        partition = scc_decompose(instance.system_pattern)
         assert len(partition.parent_components()) == m
         assert len(parent_components(n, instance.system_pattern.nonzeros)) == m
         assert arcs_strongly_connected(m, instance.network.arcs)

@@ -10,7 +10,6 @@ from obsnet import (
     StructuredMatrix,
     ValidationError,
     WeightedDigraph,
-    digraph_from_pattern,
     export_instance_dot,
     generate_instance,
     parse_design,
@@ -48,15 +47,6 @@ def test_weighted_digraph_rejects_bad_costs():
         WeightedDigraph(2, {(0, 1): float("inf")})
     with pytest.raises(ValidationError):
         WeightedDigraph(1, {(0, 1): 1.0})
-
-
-def test_digraph_from_pattern_transposes():
-    # entry (i, j) means state j drives state i, so the arc is j -> i
-    pattern = StructuredMatrix(3, 3, frozenset({(0, 1), (2, 0)}))
-    g = digraph_from_pattern(pattern)
-    assert g.edges == frozenset({(1, 0), (0, 2)})
-    with pytest.raises(ShapeError):
-        digraph_from_pattern(StructuredMatrix(2, 3, frozenset()))
 
 
 def test_instance_roundtrip_exact():

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from obsnet import (
-    Digraph,
     GuardError,
     InfeasibleError,
     ValidationError,
     WeightedDigraph,
+    arcs_strongly_connected,
     brute_force_msss,
     brute_force_mst,
-    is_strongly_connected,
     min_branching,
     msss_2approx,
     msss_best_root,
@@ -99,7 +98,7 @@ def test_mst_matches_tree_enumeration():
         slow = brute_force_mst(net)
         assert fast.total_cost == slow.total_cost
         assert fast.tree_cost == slow.tree_cost
-        assert is_strongly_connected(Digraph(m, fast.selected_arcs))
+        assert arcs_strongly_connected(m, fast.selected_arcs)
 
 
 # --- branchings --------------------------------------------------------------
@@ -172,7 +171,8 @@ def test_branching_reversal_duality():
         net = random_sc_digraph(rng, m)
         for root in range(m):
             in_arcs, in_cost = min_branching(net, root, "in")
-            out_rev_arcs, out_rev_cost = min_branching(net.reversed(), root, "out")
+            rev = WeightedDigraph(m, {(v, u): c for (u, v), c in net.arcs.items()})
+            out_rev_arcs, out_rev_cost = min_branching(rev, root, "out")
             assert in_cost == out_rev_cost
             assert in_arcs == frozenset((v, u) for (u, v) in out_rev_arcs)
 
@@ -321,6 +321,27 @@ def test_deep_path_contracts_in_small_memory():
     assert peak < 50e6
 
 
+def test_first_column_argmin_builds_no_masked_copies():
+    # D and KEY take 16 MB at m=1000; a first column argmin masked over all
+    # of D and KEY adds two more m x m arrays, a 32 MB peak
+    m = 1000
+    rng = np.random.default_rng(61)
+    arcs = {(u, (u + 1) % m): float(rng.uniform(1, 10)) for u in range(m)}
+    for u in range(m):
+        for v in rng.choice(m, size=10, replace=False):
+            if v != u:
+                arcs[(u, int(v))] = float(rng.uniform(1, 10))
+    net = WeightedDigraph(m, arcs)
+    tracemalloc.start()
+    try:
+        arcs_out, _ = min_branching(net, 0, "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(arcs_out) == m - 1
+    assert peak < 28e6
+
+
 def test_msss_single_node():
     design = msss_best_root(WeightedDigraph(1, {}))
     assert design.selected_arcs == frozenset()
@@ -337,8 +358,8 @@ def test_msss_approximation_bound_and_sc_outputs():
             continue
         lo = brute_force_msss(net)
         hi = msss_best_root(net)
-        assert is_strongly_connected(Digraph(m, lo.selected_arcs))
-        assert is_strongly_connected(Digraph(m, hi.selected_arcs))
+        assert arcs_strongly_connected(m, lo.selected_arcs)
+        assert arcs_strongly_connected(m, hi.selected_arcs)
         assert lo.total_cost <= hi.total_cost + 1e-9
         assert hi.total_cost <= 2 * lo.total_cost + 1e-9
 

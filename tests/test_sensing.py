@@ -14,7 +14,6 @@ from obsnet import (
     StructuredMatrix,
     WeightedDigraph,
     build_parent_cost_matrix,
-    digraph_from_pattern,
     generate_instance,
     hungarian_solve,
     recover_measurement_structure,
@@ -58,7 +57,7 @@ def test_parent_cost_matrix_picks_cheapest_state():
         sensing_cost={(0, 0): 5.0, (0, 1): 2.0, (0, 2): 9.0, (1, 2): 4.0},
         network=WeightedDigraph(2, {(0, 1): 1.0, (1, 0): 1.0}),
     )
-    partition = scc_decompose(digraph_from_pattern(pattern))
+    partition = scc_decompose(pattern)
     matrix = build_parent_cost_matrix(instance, partition)
     assert matrix.parent_components == ((0, 1), (2,))
     assert matrix.cost[0, 0] == 2.0 and matrix.argmin_state[0, 0] == 1
@@ -76,7 +75,7 @@ def test_parent_cost_matrix_tie_prefers_lowest_state():
         sensing_cost={(0, 0): 3.0, (0, 1): 3.0},
         network=WeightedDigraph(1, {}),
     )
-    partition = scc_decompose(digraph_from_pattern(pattern))
+    partition = scc_decompose(pattern)
     matrix = build_parent_cost_matrix(instance, partition)
     assert matrix.argmin_state[0, 0] == 0
 
@@ -91,7 +90,7 @@ def test_parent_cost_matrix_matches_entry_scan():
         table = rng.integers(1, 4, size=(m, n)).astype(float)
         table[rng.random((m, n)) < 0.3] = np.inf
         instance = dataclasses.replace(instance, sensing_cost=table)
-        partition = scc_decompose(digraph_from_pattern(instance.system_pattern))
+        partition = scc_decompose(instance.system_pattern)
         matrix = build_parent_cost_matrix(instance, partition)
         cost, state = parent_costs_by_scan(instance)
         assert matrix.cost.tolist() == cost
@@ -107,7 +106,7 @@ def test_parent_count_mismatch_is_infeasible():
         sensing_cost={(0, 0): 1.0},
         network=WeightedDigraph(1, {}),
     )
-    partition = scc_decompose(digraph_from_pattern(pattern))
+    partition = scc_decompose(pattern)
     with pytest.raises(InfeasibleError, match="parent components"):
         build_parent_cost_matrix(instance, partition)
 
@@ -217,7 +216,7 @@ def test_solver_totals_are_bitwise_equal():
             for j in range(4)
         }
         instance = assignment_instance(4, 4, costs, partition_pattern)
-        partition = scc_decompose(digraph_from_pattern(partition_pattern))
+        partition = scc_decompose(partition_pattern)
         matrix = build_parent_cost_matrix(instance, partition)
         fast = hungarian_solve(matrix)
         slow = brute_force_assignment(matrix)

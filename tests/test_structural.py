@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from obsnet import (
-    Digraph,
     ProblemInstance,
     ScopeError,
     ShapeError,
     StructuredMatrix,
     ValidationError,
     WeightedDigraph,
+    arcs_strongly_connected,
     check_distributed_observability_structural,
     check_structural_observability,
-    digraph_from_pattern,
-    is_strongly_connected,
     is_structurally_full_rank,
     max_bipartite_matching,
     scc_decompose,
@@ -26,9 +24,10 @@ def random_pattern(rng, n, density) -> StructuredMatrix:
 
 
 def test_scc_known_graph():
-    # two 2-cycles, one feeding the other: {0,1} drains into {2,3}
-    g = Digraph(4, frozenset({(0, 1), (1, 0), (2, 3), (3, 2), (1, 2)}))
-    partition = scc_decompose(g)
+    # two 2-cycles, one feeding the other: state 1 drives state 2, so {0,1}
+    # drains into {2,3}
+    pattern = StructuredMatrix(4, 4, frozenset({(1, 0), (0, 1), (3, 2), (2, 3), (2, 1)}))
+    partition = scc_decompose(pattern)
     assert partition.components == ((0, 1), (2, 3))
     assert partition.kinds == ("child", "parent")
     assert partition.condensation == frozenset({(0, 1)})
@@ -36,10 +35,20 @@ def test_scc_known_graph():
 
 
 def test_scc_singletons_and_self_loops():
-    g = Digraph(3, frozenset({(0, 0), (1, 2)}))
-    partition = scc_decompose(g)
+    # a self-loop on state 0; state 1 drives state 2
+    partition = scc_decompose(StructuredMatrix(3, 3, frozenset({(0, 0), (2, 1)})))
     assert partition.components == ((0,), (1,), (2,))
     assert partition.kinds == ("parent", "child", "parent")
+
+
+def test_scc_decompose_reads_pattern_orientation():
+    # entry (1, 0) means state 0 drives state 1: the arc 0 -> 1, so state 1's
+    # component is the parent and the condensation arc runs 0 -> 1
+    partition = scc_decompose(StructuredMatrix(2, 2, frozenset({(1, 0)})))
+    assert partition.kinds == ("child", "parent")
+    assert partition.condensation == frozenset({(0, 1)})
+    with pytest.raises(ShapeError, match="state digraph needs a square pattern, got 2x3"):
+        scc_decompose(StructuredMatrix(2, 3, frozenset()))
 
 
 def test_scc_matches_reachability_oracle():
@@ -52,18 +61,16 @@ def test_scc_matches_reachability_oracle():
             for v in range(n)
             if rng.random() < 0.25
         }
-        partition = scc_decompose(Digraph(n, frozenset(edges)))
+        partition = scc_decompose(StructuredMatrix(n, n, {(v, u) for (u, v) in edges}))
         comps, kinds = components_by_reachability(n, edges)
         assert list(partition.components) == comps
         assert list(partition.kinds) == kinds
 
 
 def test_is_strongly_connected():
-    assert is_strongly_connected(Digraph(1, frozenset()))
-    ring = Digraph(4, frozenset({(0, 1), (1, 2), (2, 3), (3, 0)}))
-    assert is_strongly_connected(ring)
-    broken = Digraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
-    assert not is_strongly_connected(broken)
+    assert arcs_strongly_connected(1, frozenset())
+    assert arcs_strongly_connected(4, frozenset({(0, 1), (1, 2), (2, 3), (3, 0)}))
+    assert not arcs_strongly_connected(4, frozenset({(0, 1), (1, 2), (2, 3)}))
 
 
 def test_is_strongly_connected_equals_single_scc():
@@ -76,8 +83,8 @@ def test_is_strongly_connected_equals_single_scc():
             for v in range(n)
             if u != v and rng.random() < 0.3
         }
-        g = Digraph(n, frozenset(edges))
-        assert is_strongly_connected(g) == (len(scc_decompose(g).components) == 1)
+        partition = scc_decompose(StructuredMatrix(n, n, {(v, u) for (u, v) in edges}))
+        assert arcs_strongly_connected(n, edges) == (len(partition.components) == 1)
 
 
 def test_max_bipartite_matching_hand_cases():
@@ -255,7 +262,7 @@ def test_condensation_is_acyclic():
             for v in range(n)
             if rng.random() < 0.3
         }
-        partition = scc_decompose(Digraph(n, frozenset(edges)))
+        partition = scc_decompose(StructuredMatrix(n, n, {(v, u) for (u, v) in edges}))
         k = len(partition.components)
         # follow condensation edges; any path longer than k means a cycle
         adj = [[] for _ in range(k)]

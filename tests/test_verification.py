@@ -51,6 +51,25 @@ def test_realize_numeric_empty_pattern():
     )
 
 
+def test_realizations_draw_one_value_per_nonzero_in_sorted_order():
+    # one scalar draw per nonzero in sorted order, replayed on a twin stream
+    rng = np.random.default_rng(59)
+    for k in range(50):
+        m = int(rng.integers(1, 8))
+        nz = sorted((i, j) for i in range(m) for j in range(m) if rng.random() < 0.4)
+        pattern = StructuredMatrix(m, m, frozenset(nz))
+        twin = rng_for(k, "twin")
+        a = np.zeros((m, m))
+        for (i, j) in nz:
+            a[i, j] = twin.uniform(0.5, 1.5)
+        w = a.copy()
+        for i in range(m):
+            w[i, i] = twin.uniform(0.5, 1.5)
+        w = w / w.sum(axis=1, keepdims=True)
+        assert np.array_equal(realize_numeric(pattern, rng_for(k, "twin")), a)
+        assert np.array_equal(make_row_stochastic(pattern, rng_for(k, "twin")), w)
+
+
 def test_make_row_stochastic_single_sensor():
     w = make_row_stochastic(StructuredMatrix(1, 1, frozenset()), rng_for(0, "w"))
     assert np.array_equal(w, np.array([[1.0]]))
@@ -173,6 +192,12 @@ def test_kalman_shape_errors():
         kalman_rank_observable(np.zeros((2, 3)), np.zeros((1, 2)))
     with pytest.raises(ShapeError):
         kalman_rank_observable(np.eye(2), np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf"), 1.0])
+def test_kalman_rejects_tolerance_outside_unit_interval(tol):
+    with pytest.raises(ValidationError, match="tolerance"):
+        kalman_rank_observable(np.eye(2), np.ones((1, 2)), tol)
 
 
 # --- end-to-end verification -------------------------------------------------
