@@ -11,7 +11,6 @@ JSON on explicit paths; exit codes are stable: 0 success, 2 infeasible,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -19,6 +18,7 @@ from .design import design_instance, parent_costs, solve_network
 from .errors import ObsnetError, ValidationError
 from .generate import generate_instance
 from .graphs import (
+    canonical_json,
     export_instance_dot,
     parse_design,
     parse_instance,
@@ -35,10 +35,6 @@ from .structural import (
 from .verification import verify_design_numeric
 
 __all__ = ["build_parser", "run", "main"]
-
-
-def _canonical(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _read(path: str) -> str:
@@ -63,7 +59,7 @@ def _error_kind(exc: BaseException) -> str:
 
 def _print_error(exc: BaseException) -> None:
     body = {"error": {"kind": _error_kind(exc), "message": str(exc)}}
-    print(json.dumps(body, indent=2, sort_keys=True), file=sys.stderr)
+    sys.stderr.write(canonical_json(body))
 
 
 # --- subcommands ------------------------------------------------------------
@@ -82,7 +78,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "network_undirected": instance.network_undirected,
     }
     doc.update(partition.to_json_dict())
-    sys.stdout.write(_canonical(doc))
+    sys.stdout.write(canonical_json(doc))
     return 0
 
 
@@ -110,7 +106,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = verify_design_numeric(
         instance, design, trials=args.trials, seed=args.seed, tolerance=args.tol
     )
-    sys.stdout.write(_canonical(report.to_json_dict()))
+    sys.stdout.write(canonical_json(report.to_json_dict()))
     return 0
 
 
@@ -140,7 +136,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "gap": gap,
         },
     }
-    sys.stdout.write(_canonical(doc))
+    sys.stdout.write(canonical_json(doc))
     return 0
 
 

@@ -27,6 +27,9 @@ __all__ = [
     "WeightedDigraph",
     "ProblemInstance",
     "DesignResult",
+    "check_design_shape",
+    "one_state_per_sensor",
+    "canonical_json",
     "parse_instance",
     "serialize_instance",
     "parse_design",
@@ -165,6 +168,21 @@ class ProblemInstance:
             )
 
 
+def check_design_shape(
+    h: StructuredMatrix, w: StructuredMatrix, m: int, n: int
+) -> None:
+    """Raise ShapeError unless H is m x n and W is m x m (W is checked first)."""
+    if w.rows != m or w.cols != m:
+        raise ShapeError(f"network pattern is {w.rows}x{w.cols}, expected {m}x{m}")
+    if h.rows != m or h.cols != n:
+        raise ShapeError(f"measurement pattern is {h.rows}x{h.cols}, expected {m}x{n}")
+
+
+def one_state_per_sensor(h: StructuredMatrix) -> bool:
+    """True iff every row of H (every sensor) holds exactly one nonzero."""
+    return sorted(i for (i, _) in h.nonzeros) == list(range(h.rows))
+
+
 @dataclass(frozen=True)
 class DesignResult:
     """Output of the design pipeline: chosen measurements and chosen links.
@@ -187,15 +205,12 @@ class DesignResult:
                 f" got {self.network_optimality!r}"
             )
         h = self.measurement_pattern
-        rows = [i for (i, _) in h.nonzeros]
-        cols = [j for (_, j) in h.nonzeros]
-        if sorted(rows) != list(range(h.rows)):
+        if not one_state_per_sensor(h):
             raise ValidationError("measurement pattern must have exactly one nonzero per row")
+        cols = [j for (_, j) in h.nonzeros]
         if len(set(cols)) != len(cols):
             raise ValidationError("measurement pattern must have at most one nonzero per column")
-        w = self.network_pattern
-        if w.rows != w.cols or w.rows != h.rows:
-            raise ShapeError("network pattern must be m x m for m sensors")
+        check_design_shape(h, self.network_pattern, h.rows, h.cols)
 
 
 # --- JSON documents -------------------------------------------------------
@@ -235,30 +250,48 @@ def _index(value, upper: int, path: str) -> int:
     return value - 1
 
 
-def parse_instance(text: str) -> ProblemInstance:
-    """Parse and validate an instance document. See the schema comment above."""
+def _load(text: str, what: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"instance document is not valid JSON: {exc}") from exc
+        raise ValidationError(f"{what} document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ValidationError("instance document must be a JSON object")
+        raise ValidationError(f"{what} document must be a JSON object")
+    return doc
 
+
+def _pattern(doc: Mapping, key: str, rows: int, cols: int, path: str) -> StructuredMatrix:
+    """The rows x cols pattern stored under ``key`` as 1-based [row, col] pairs."""
+    nonzeros = set()
+    for k, pair in enumerate(_require(doc, key, list, path)):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValidationError(f"{key}[{k}]: expected a [row, col] pair, got {pair!r}")
+        i = _index(pair[0], rows, f"{key}[{k}][0]")
+        j = _index(pair[1], cols, f"{key}[{k}][1]")
+        if (i, j) in nonzeros:
+            raise ValidationError(f"{key}[{k}]: duplicate nonzero ({pair[0]}, {pair[1]})")
+        nonzeros.add((i, j))
+    return StructuredMatrix(rows, cols, frozenset(nonzeros))
+
+
+def _pairs(pattern: StructuredMatrix) -> list[list[int]]:
+    return [[i + 1, j + 1] for (i, j) in pattern.sorted_pairs()]
+
+
+def canonical_json(doc: Mapping) -> str:
+    """The one JSON writer: sorted keys, two-space indent, trailing newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def parse_instance(text: str) -> ProblemInstance:
+    """Parse and validate an instance document. See the schema comment above."""
+    doc = _load(text, "instance")
     n = _require(doc, "n", int, "instance")
     m = _require(doc, "m", int, "instance")
     if n < 1 or m < 1:
         raise ValidationError(f"instance: need n >= 1 and m >= 1, got n={n}, m={m}")
 
-    a_pairs = _require(doc, "A", list, "instance")
-    nonzeros = set()
-    for k, pair in enumerate(a_pairs):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ValidationError(f"A[{k}]: expected a [row, col] pair, got {pair!r}")
-        i = _index(pair[0], n, f"A[{k}][0]")
-        j = _index(pair[1], n, f"A[{k}][1]")
-        if (i, j) in nonzeros:
-            raise ValidationError(f"A[{k}]: duplicate nonzero ({pair[0]}, {pair[1]})")
-        nonzeros.add((i, j))
+    system_pattern = _pattern(doc, "A", n, n, "instance")
 
     c_entries = _require(doc, "c", list, "instance")
     sensing_cost = np.full((m, n), np.inf)
@@ -307,7 +340,7 @@ def parse_instance(text: str) -> ProblemInstance:
     return ProblemInstance(
         n=n,
         m=m,
-        system_pattern=StructuredMatrix(n, n, frozenset(nonzeros)),
+        system_pattern=system_pattern,
         sensing_cost=sensing_cost,
         network=WeightedDigraph(m, arcs),
         network_undirected=undirected,
@@ -320,7 +353,7 @@ def serialize_instance(instance: ProblemInstance) -> str:
     doc = {
         "n": instance.n,
         "m": instance.m,
-        "A": [[i + 1, j + 1] for (i, j) in instance.system_pattern.sorted_pairs()],
+        "A": _pairs(instance.system_pattern),
         "c": [
             {"sensor": i + 1, "state": j + 1, "cost": cost}
             for i, row in enumerate(instance.sensing_cost.tolist())
@@ -335,42 +368,16 @@ def serialize_instance(instance: ProblemInstance) -> str:
             ],
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-_OPTIMALITY = ("exact", "two_approx")
+    return canonical_json(doc)
 
 
 def parse_design(text: str, n: int, m: int) -> DesignResult:
     """Parse a design document against the instance dimensions n (states) and m (sensors)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"design document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("design document must be a JSON object")
-
-    def pattern_from(key: str, rows: int, cols: int) -> StructuredMatrix:
-        pairs = _require(doc, key, list, "design")
-        nz = set()
-        for k, pair in enumerate(pairs):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ValidationError(f"{key}[{k}]: expected a [row, col] pair, got {pair!r}")
-            i = _index(pair[0], rows, f"{key}[{k}][0]")
-            j = _index(pair[1], cols, f"{key}[{k}][1]")
-            if (i, j) in nz:
-                raise ValidationError(f"{key}[{k}]: duplicate nonzero")
-            nz.add((i, j))
-        return StructuredMatrix(rows, cols, frozenset(nz))
-
+    doc = _load(text, "design")
     optimality = _require(doc, "network_optimality", str, "design")
-    if optimality not in _OPTIMALITY:
-        raise ValidationError(
-            f"design.network_optimality: expected one of {_OPTIMALITY}, got {optimality!r}"
-        )
     return DesignResult(
-        measurement_pattern=pattern_from("H", m, n),
-        network_pattern=pattern_from("W", m, m),
+        measurement_pattern=_pattern(doc, "H", m, n, "design"),
+        network_pattern=_pattern(doc, "W", m, m, "design"),
         sensing_cost=_require(doc, "sensing_cost", float, "design"),
         networking_cost=_require(doc, "networking_cost", float, "design"),
         network_optimality=optimality,
@@ -380,13 +387,13 @@ def parse_design(text: str, n: int, m: int) -> DesignResult:
 def serialize_design(result: DesignResult) -> str:
     """Canonical JSON for a design result."""
     doc = {
-        "H": [[i + 1, j + 1] for (i, j) in result.measurement_pattern.sorted_pairs()],
-        "W": [[i + 1, j + 1] for (i, j) in result.network_pattern.sorted_pairs()],
+        "H": _pairs(result.measurement_pattern),
+        "W": _pairs(result.network_pattern),
         "sensing_cost": result.sensing_cost,
         "networking_cost": result.networking_cost,
         "network_optimality": result.network_optimality,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return canonical_json(doc)
 
 
 # --- DOT export -----------------------------------------------------------

@@ -141,12 +141,9 @@ def solve_lsap(cost: np.ndarray) -> tuple[np.ndarray, float]:
             better = free & (cur < minv)
             minv[better] = cur[better]
             way[better] = j0
-            if not free.any():
-                delta = INF
-            else:
-                masked = np.where(free, minv, INF)
-                j1 = int(np.argmin(masked))
-                delta = masked[j1]
+            masked = np.where(free, minv, INF)
+            j1 = int(np.argmin(masked))
+            delta = masked[j1]
             if not np.isfinite(delta):
                 tree_rows = sorted({int(row_of_col[j]) for j in range(m + 1) if used[j]})
                 rows, cols = _hall_violator(cost, tree_rows)

@@ -20,7 +20,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ScopeError, ShapeError, ValidationError
-from .graphs import ProblemInstance, StructuredMatrix
+from .graphs import (
+    ProblemInstance,
+    StructuredMatrix,
+    check_design_shape,
+    one_state_per_sensor,
+)
 
 __all__ = [
     "SccPartition",
@@ -53,9 +58,6 @@ class SccPartition:
 
     def parent_components(self) -> list[tuple[int, ...]]:
         return [c for c, kind in zip(self.components, self.kinds) if kind == PARENT]
-
-    def parent_indices(self) -> list[int]:
-        return [k for k, kind in enumerate(self.kinds) if kind == PARENT]
 
     def to_json_dict(self) -> dict:
         return {
@@ -302,16 +304,7 @@ def check_distributed_observability_structural(
     connected. Diagonal entries of the link pattern are not allowed; each
     sensor always has access to its own prediction.
     """
-    if w_pattern.rows != instance.m or w_pattern.cols != instance.m:
-        raise ShapeError(
-            f"network pattern is {w_pattern.rows}x{w_pattern.cols},"
-            f" expected {instance.m}x{instance.m}"
-        )
-    if h_pattern.rows != instance.m or h_pattern.cols != instance.n:
-        raise ShapeError(
-            f"measurement pattern is {h_pattern.rows}x{h_pattern.cols},"
-            f" expected {instance.m}x{instance.n}"
-        )
+    check_design_shape(h_pattern, w_pattern, instance.m, instance.n)
     for (i, j) in w_pattern.nonzeros:
         if (i, j) not in instance.network.arcs:
             raise ValidationError(
@@ -319,22 +312,11 @@ def check_distributed_observability_structural(
                 f" candidate network"
             )
     observable, partition = _parent_test(instance.system_pattern, h_pattern)
-    if not observable:
-        return False
-    rows: dict[int, int] = {}
-    for (i, j) in h_pattern.nonzeros:
-        if i in rows:
-            return False  # a sensor with two measurements
-        rows[i] = j
-    if len(rows) != instance.m:
-        return False  # an idle sensor
-    parents = partition.parent_indices()
-    if len(parents) != instance.m:
-        return False
-    covered = set()
-    for i in range(instance.m):
-        comp = partition.component_of[rows[i]]
-        if partition.kinds[comp] != PARENT or comp in covered:
-            return False
-        covered.add(comp)
-    return arcs_strongly_connected(instance.m, w_pattern.nonzeros)
+    # m sensors with one state each that reach all m parents cover them one
+    # to one, so no state sits in a child and no parent is measured twice
+    return (
+        observable
+        and one_state_per_sensor(h_pattern)
+        and partition.kinds.count(PARENT) == instance.m
+        and arcs_strongly_connected(instance.m, w_pattern.nonzeros)
+    )

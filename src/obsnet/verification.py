@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, ShapeError, ValidationError
-from .graphs import DesignResult, ProblemInstance, StructuredMatrix
+from .graphs import DesignResult, ProblemInstance, StructuredMatrix, check_design_shape
 from .rng import rng_for
 from .structural import check_distributed_observability_structural
 
@@ -97,6 +97,7 @@ def _rowspace_rank(step, c: np.ndarray, n: int, tolerance: float) -> int:
     when their singular value exceeds ``tolerance`` times the largest
     singular value seen, so the test is scale-free.
     """
+    _check_tolerance(tolerance)
     basis = np.zeros((0, n))
     frontier = c
     reference = 0.0
@@ -130,7 +131,6 @@ def kalman_rank_observable(
         raise ShapeError(f"state matrix must be square, got {a.shape}")
     if c.shape[1] != n:
         raise ShapeError(f"output map has {c.shape[1]} columns, expected {n}")
-    _check_tolerance(tolerance)
     rank = _rowspace_rank(lambda rows: rows @ a, c, n, tolerance)
     return rank == n, rank
 
@@ -161,19 +161,10 @@ def observability_trial(
     transition map (Kronecker product of weights and system) with the
     block-diagonal measurement Grams. Returns (observable, rank). Performs
     no structural screening, which lets tests probe structurally bad
-    designs directly.
+    designs directly; a tolerance outside (0, 1) is still refused.
     """
     n, m = instance.n, instance.m
-    if h_pattern.rows != m or h_pattern.cols != n:
-        raise ShapeError(
-            f"measurement pattern is {h_pattern.rows}x{h_pattern.cols},"
-            f" expected {m}x{n}"
-        )
-    if w_pattern.rows != m or w_pattern.cols != m:
-        raise ShapeError(
-            f"network pattern is {w_pattern.rows}x{w_pattern.cols},"
-            f" expected {m}x{m}"
-        )
+    check_design_shape(h_pattern, w_pattern, m, n)
     a_sys = _realize_system(instance.system_pattern, rng, n)
     h_num = realize_numeric(h_pattern, rng)
     w_num = make_row_stochastic(w_pattern, rng)

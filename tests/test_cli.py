@@ -136,6 +136,21 @@ def test_verify_reports_all_passes(tmp_path, capsys):
     assert doc["tolerance"] == 1e-8
 
 
+def test_verify_reports_rank_deficits(tmp_path, capsys):
+    # a coarse tolerance drops genuine directions, so trials fail and each
+    # failing trial records how far its rank fell short of m n = 24
+    inst, design = tmp_path / "i.json", tmp_path / "d.json"
+    assert run(["gen", "--n", "8", "--m", "3", "--seed", "4", "--out", str(inst)]) == 0
+    assert run(["design", "--in", str(inst), "--out", str(design)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--in", str(inst), "--design", str(design),
+                "--trials", "5", "--tol", "0.5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passes"] < doc["trials"] == 5
+    assert len(doc["rank_deficits"]) == doc["trials"] - doc["passes"]
+    assert all(1 <= deficit <= 24 for deficit in doc["rank_deficits"])
+
+
 def test_verify_deterministic_stdout(tmp_path, capsys):
     path, _ = _gen(tmp_path)
     design = tmp_path / "d.json"

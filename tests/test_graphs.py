@@ -164,6 +164,48 @@ def test_parse_instance_rejects_garbage():
         parse_instance(json.dumps(bad))
 
 
+def _set(path, value):
+    def edit(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set(["A", 0], [1]), "A[0]: expected a [row, col] pair, got [1]"),
+    (_set(["c", 0], 5), "c[0]: expected an object, got 5"),
+    (_set(["net", "links", 1], [2, 1]), "net.links[1]: expected an object, got [2, 1]"),
+    (_set(["net", "links", 0, "cost"], -1.0),
+     "net.links[0].cost: must be finite and >= 0, got -1.0"),
+    (lambda doc: doc["net"]["links"].append(dict(doc["net"]["links"][0])),
+     "net.links[2]: duplicate link 1 -> 2"),
+], ids=["A-not-a-pair", "c-not-an-object", "link-not-an-object", "negative-link-cost",
+        "duplicate-link"])
+def test_parse_instance_rejects_bad_entries(edit, message):
+    doc = json.loads(serialize_instance(small_instance()))
+    edit(doc)
+    with pytest.raises(ValidationError) as info:
+        parse_instance(json.dumps(doc))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("changes, error, message", [
+    ({"n": 0}, ValidationError, "need n >= 1 and m >= 1, got n=0, m=2"),
+    ({"m": 0}, ValidationError, "need n >= 1 and m >= 1, got n=2, m=0"),
+    ({"system_pattern": StructuredMatrix(3, 3, frozenset())}, ShapeError,
+     "system pattern is 3x3, expected 2x2"),
+    ({"network": WeightedDigraph(3, {})}, ShapeError, "network has 3 nodes, expected m=2"),
+    ({"network_undirected": True}, ValidationError,
+     "network is flagged undirected but the links are not symmetric with equal costs"),
+], ids=["n-zero", "m-zero", "pattern-shape", "network-size", "asymmetric-undirected"])
+def test_problem_instance_rejects_inconsistent_fields(changes, error, message):
+    with pytest.raises(error) as info:
+        dataclasses.replace(small_instance(), **changes)
+    assert str(info.value) == message
+
+
 def test_parse_instance_undirected_needs_symmetry():
     doc = json.loads(serialize_instance(small_instance()))
     doc["net"]["undirected"] = True
@@ -176,14 +218,18 @@ def test_parse_instance_undirected_needs_symmetry():
         parse_instance(json.dumps(sym))
 
 
-def test_design_roundtrip():
-    design = DesignResult(
+def _design() -> DesignResult:
+    return DesignResult(
         measurement_pattern=StructuredMatrix(2, 3, frozenset({(0, 0), (1, 2)})),
         network_pattern=StructuredMatrix(2, 2, frozenset({(0, 1), (1, 0)})),
         sensing_cost=2.5,
         networking_cost=4.0,
         network_optimality="exact",
     )
+
+
+def test_design_roundtrip():
+    design = _design()
     text = serialize_design(design)
     assert parse_design(text, n=3, m=2) == design
     assert serialize_design(parse_design(text, n=3, m=2)) == text
@@ -206,6 +252,8 @@ def test_design_result_enforces_measurement_shape():
             networking_cost=0.0,
             network_optimality="exact",
         )
+    with pytest.raises(ShapeError, match="network pattern is 3x3, expected 2x2"):
+        dataclasses.replace(_design(), network_pattern=StructuredMatrix(3, 3, frozenset()))
 
 
 def test_parse_design_rejects_bad_optimality():
@@ -218,8 +266,31 @@ def test_parse_design_rejects_bad_optimality():
     )
     doc = json.loads(serialize_design(design))
     doc["network_optimality"] = "approximate"
-    with pytest.raises(ValidationError, match="network_optimality"):
+    with pytest.raises(ValidationError) as info:
         parse_design(json.dumps(doc), 1, 1)
+    # DesignResult's wording: it is the one check of the field
+    assert str(info.value) == (
+        "network_optimality must be 'exact' or 'two_approx', got 'approximate'"
+    )
+
+
+def _edited_design(edit) -> str:
+    doc = json.loads(serialize_design(_design()))
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not json", "design document is not valid JSON: "),
+    ("[]", "design document must be a JSON object"),
+    (_edited_design(_set(["H", 0], [1, 1, 1])),
+     "H[0]: expected a [row, col] pair, got [1, 1, 1]"),
+    (_edited_design(lambda doc: doc["W"].append([1, 2])), "W[2]: duplicate nonzero (1, 2)"),
+], ids=["not-json", "not-an-object", "H-not-a-pair", "duplicate-W-pair"])
+def test_parse_design_rejects_garbage(text, message):
+    with pytest.raises(ValidationError) as info:
+        parse_design(text, n=3, m=2)
+    assert str(info.value).startswith(message)
 
 
 def test_serialization_is_canonical():

@@ -192,6 +192,10 @@ def test_distributed_gate_rejects_each_violation():
     idle = StructuredMatrix(2, 2, frozenset({(0, 0)}))
     assert not check_distributed_observability_structural(instance, idle, good_w)
 
+    # a sensor with two measurements, while every parent is measured
+    busy = StructuredMatrix(2, 2, frozenset({(0, 0), (0, 1)}))
+    assert not check_distributed_observability_structural(instance, busy, good_w)
+
     # link outside the candidate network is malformed, not just invalid
     sparse = two_parent_instance({(0, 1): 1.0})
     with pytest.raises(ValidationError, match="not in the"):
@@ -220,6 +224,17 @@ def test_distributed_gate_needs_sensor_per_parent():
     h = StructuredMatrix(2, 3, frozenset({(0, 0), (1, 1)}))
     w = StructuredMatrix(2, 2, frozenset({(0, 1), (1, 0)}))
     assert not check_distributed_observability_structural(instance, h, w)
+
+    # one parent component (the cycle 1 <-> 2) but two sensors: never valid
+    fewer = ProblemInstance(
+        n=2,
+        m=2,
+        system_pattern=StructuredMatrix(2, 2, frozenset({(0, 1), (1, 0)})),
+        sensing_cost={(i, j): 1.0 for i in range(2) for j in range(2)},
+        network=WeightedDigraph(2, {(0, 1): 1.0, (1, 0): 1.0}),
+    )
+    h = StructuredMatrix(2, 2, frozenset({(0, 0), (1, 1)}))
+    assert not check_distributed_observability_structural(fewer, h, w)
 
 
 def test_distributed_gate_needs_full_rank():

@@ -4,6 +4,7 @@ import pytest
 from obsnet import (
     InfeasibleError,
     ProblemInstance,
+    ShapeError,
     StructuredMatrix,
     ValidationError,
     WeightedDigraph,
@@ -186,8 +187,6 @@ def test_kalman_rank_monotone_in_measurements():
 
 
 def test_kalman_shape_errors():
-    from obsnet import ShapeError
-
     with pytest.raises(ShapeError):
         kalman_rank_observable(np.zeros((2, 3)), np.zeros((1, 2)))
     with pytest.raises(ShapeError):
@@ -256,6 +255,30 @@ def test_verify_needs_positive_trials():
     design = design_instance(instance)
     with pytest.raises(ValidationError):
         verify_design_numeric(instance, design, trials=0)
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), 1.5])
+def test_trial_rejects_tolerance_outside_unit_interval(tol):
+    # the one-way link design the gate refuses: a tolerance <= 0 would
+    # certify it, so the trial checks the tolerance itself
+    instance = decoupled_instance({(0, 1): 1.0})
+    h = StructuredMatrix(2, 2, frozenset({(0, 0), (1, 1)}))
+    w = StructuredMatrix(2, 2, frozenset({(0, 1)}))
+    with pytest.raises(ValidationError, match="tolerance"):
+        observability_trial(instance, h, w, rng_for(0, "tol", 0), tol)
+
+
+@pytest.mark.parametrize("h, w, message", [
+    (StructuredMatrix(2, 3, frozenset({(0, 0), (1, 1)})), StructuredMatrix(2, 2, frozenset()),
+     "measurement pattern is 2x3, expected 2x2"),
+    (StructuredMatrix(2, 2, frozenset({(0, 0), (1, 1)})), StructuredMatrix(3, 2, frozenset()),
+     "network pattern is 3x2, expected 2x2"),
+], ids=["H-shape", "W-shape"])
+def test_trial_rejects_pattern_shapes(h, w, message):
+    instance = decoupled_instance({(0, 1): 1.0, (1, 0): 1.0})
+    with pytest.raises(ShapeError) as info:
+        observability_trial(instance, h, w, rng_for(0, "shape", 0))
+    assert str(info.value) == message
 
 
 def test_non_sc_counterexample_fails_every_trial():
