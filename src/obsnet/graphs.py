@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -82,7 +83,11 @@ class WeightedDigraph:
         for (u, v), cost in arcs.items():
             if not (0 <= u < self.node_count and 0 <= v < self.node_count):
                 raise ValidationError(f"arc ({u}, {v}) out of range")
-            if not (isinstance(cost, (int, float)) and math.isfinite(cost)) or cost < 0:
+            if u == v:
+                raise ValidationError(f"arc ({u}, {v}) is a self-link, which is not allowed")
+            if isinstance(cost, bool) or not isinstance(cost, numbers.Real):
+                raise ValidationError(f"arc ({u}, {v}) cost must be a real number, got {cost!r}")
+            if not math.isfinite(cost) or cost < 0:
                 raise ValidationError(f"arc ({u}, {v}) cost must be finite and >= 0, got {cost}")
             arcs[(u, v)] = float(cost)  # an int cost would serialize as 1, parse as 1.0
         object.__setattr__(self, "arcs", arcs)
@@ -274,13 +279,28 @@ def _pattern(doc: Mapping, key: str, rows: int, cols: int, path: str) -> Structu
     return StructuredMatrix(rows, cols, frozenset(nonzeros))
 
 
-def _pairs(pattern: StructuredMatrix) -> list[list[int]]:
-    return [[i + 1, j + 1] for (i, j) in pattern.sorted_pairs()]
-
-
 def canonical_json(doc: Mapping) -> str:
-    """The one JSON writer: sorted keys, two-space indent, trailing newline."""
+    """The JSON writer for reports and error bodies: sorted keys, two-space
+    indent, trailing newline. The instance and design writers below give the
+    same bytes directly, since the indent keeps json off its C encoder."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# Per-item templates as canonical_json lays the items out; %r of a Python
+# float is float.__repr__, which is what json writes for a finite float.
+_PAIR = "    [\n      %d,\n      %d\n    ]"
+_COST = '    {\n      "cost": %r,\n      "sensor": %d,\n      "state": %d\n    }'
+_LINK = '      {\n        "cost": %r,\n        "from": %d,\n        "to": %d\n      }'
+
+
+def _block(template: str, items, indent: str = "  ") -> str:
+    """A list block whose closing bracket sits at ``indent``, one item per tuple."""
+    lines = [template % item for item in items]
+    return "[\n" + ",\n".join(lines) + "\n" + indent + "]" if lines else "[]"
+
+
+def _pair_block(pattern: StructuredMatrix) -> str:
+    return _block(_PAIR, [(i + 1, j + 1) for (i, j) in pattern.sorted_pairs()])
 
 
 def parse_instance(text: str) -> ProblemInstance:
@@ -349,26 +369,17 @@ def parse_instance(text: str) -> ProblemInstance:
 
 def serialize_instance(instance: ProblemInstance) -> str:
     """Canonical JSON for an instance: sorted keys, sensing costs in row-major
-    (sensor, state) order with the inf entries left out."""
-    doc = {
-        "n": instance.n,
-        "m": instance.m,
-        "A": _pairs(instance.system_pattern),
-        "c": [
-            {"sensor": i + 1, "state": j + 1, "cost": cost}
-            for i, row in enumerate(instance.sensing_cost.tolist())
-            for j, cost in enumerate(row)
-            if cost != math.inf
-        ],
-        "net": {
-            "undirected": instance.network_undirected,
-            "links": [
-                {"from": u + 1, "to": v + 1, "cost": cost}
-                for (u, v), cost in sorted(instance.network.arcs.items())
-            ],
-        },
-    }
-    return canonical_json(doc)
+    (sensor, state) order with the inf entries left out, links in arc order."""
+    table = instance.sensing_cost
+    i, j = np.nonzero(table != np.inf)
+    costs = zip(table[i, j].tolist(), (i + 1).tolist(), (j + 1).tolist())
+    links = [(float(c), u + 1, v + 1) for (u, v), c in sorted(instance.network.arcs.items())]
+    undirected = "true" if instance.network_undirected else "false"
+    return (
+        f'{{\n  "A": {_pair_block(instance.system_pattern)},\n  "c": {_block(_COST, costs)},\n'
+        f'  "m": {instance.m:d},\n  "n": {instance.n:d},\n  "net": {{\n'
+        f'    "links": {_block(_LINK, links, "    ")},\n    "undirected": {undirected}\n  }}\n}}\n'
+    )
 
 
 def parse_design(text: str, n: int, m: int) -> DesignResult:
@@ -385,15 +396,15 @@ def parse_design(text: str, n: int, m: int) -> DesignResult:
 
 
 def serialize_design(result: DesignResult) -> str:
-    """Canonical JSON for a design result."""
-    doc = {
-        "H": _pairs(result.measurement_pattern),
-        "W": _pairs(result.network_pattern),
-        "sensing_cost": result.sensing_cost,
-        "networking_cost": result.networking_cost,
-        "network_optimality": result.network_optimality,
-    }
-    return canonical_json(doc)
+    """Canonical JSON for a design result; json.dumps writes each cost as it
+    would inside the document, whether an int, a float or NaN."""
+    return (
+        f'{{\n  "H": {_pair_block(result.measurement_pattern)},\n'
+        f'  "W": {_pair_block(result.network_pattern)},\n'
+        f'  "network_optimality": {json.dumps(result.network_optimality)},\n'
+        f'  "networking_cost": {json.dumps(result.networking_cost)},\n'
+        f'  "sensing_cost": {json.dumps(result.sensing_cost)}\n}}\n'
+    )
 
 
 # --- DOT export -----------------------------------------------------------

@@ -5,17 +5,23 @@ code with the library: reachability closure instead of Tarjan, permutation
 scans instead of matching or assignment solvers, explicit stacked
 observability matrices instead of subspace iteration. Slow and small, but
 trusted. ``reference_branching`` is the recursive per-root Edmonds search
-the library once ran, kept unchanged as the tie-break reference.
+the library once ran, kept unchanged as the tie-break reference;
+``reference_instance_json`` and ``reference_design_json`` are the document
+writers it once ran, a dict through ``json.dumps``, kept as the byte
+reference for the direct writers.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from obsnet import ProblemInstance, ValidationError, WeightedDigraph
+from obsnet.graphs import DesignResult
 
 
 def influence_edges(nonzeros) -> set[tuple[int, int]]:
@@ -355,3 +361,38 @@ def build_measurement_gram(h: np.ndarray) -> np.ndarray:
     for i in range(m):
         gram[i * n:(i + 1) * n, i * n:(i + 1) * n] = np.outer(h[i], h[i])
     return gram
+
+
+def reference_instance_json(instance: ProblemInstance) -> str:
+    """The instance document as a dict written by ``json.dumps``."""
+    doc = {
+        "n": instance.n,
+        "m": instance.m,
+        "A": [[i + 1, j + 1] for (i, j) in instance.system_pattern.sorted_pairs()],
+        "c": [
+            {"sensor": i + 1, "state": j + 1, "cost": cost}
+            for i, row in enumerate(instance.sensing_cost.tolist())
+            for j, cost in enumerate(row)
+            if cost != math.inf
+        ],
+        "net": {
+            "undirected": instance.network_undirected,
+            "links": [
+                {"from": u + 1, "to": v + 1, "cost": cost}
+                for (u, v), cost in sorted(instance.network.arcs.items())
+            ],
+        },
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def reference_design_json(result: DesignResult) -> str:
+    """The design document as a dict written by ``json.dumps``."""
+    doc = {
+        "H": [[i + 1, j + 1] for (i, j) in result.measurement_pattern.sorted_pairs()],
+        "W": [[i + 1, j + 1] for (i, j) in result.network_pattern.sorted_pairs()],
+        "sensing_cost": result.sensing_cost,
+        "networking_cost": result.networking_cost,
+        "network_optimality": result.network_optimality,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obsnet import (
     ProblemInstance,
@@ -18,6 +20,7 @@ from obsnet import (
     serialize_instance,
 )
 from obsnet.graphs import DesignResult
+from oracles import reference_design_json, reference_instance_json
 
 
 def small_instance(undirected=False) -> ProblemInstance:
@@ -47,6 +50,20 @@ def test_weighted_digraph_rejects_bad_costs():
         WeightedDigraph(2, {(0, 1): float("inf")})
     with pytest.raises(ValidationError):
         WeightedDigraph(1, {(0, 1): 1.0})
+    # parse_instance refuses a self-link, so the constructor does too
+    with pytest.raises(ValidationError, match=r"^arc \(0, 0\) is a self-link, which is not allowed$"):
+        WeightedDigraph(2, {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 2.0})
+
+
+def test_weighted_digraph_cost_is_any_real_but_bool():
+    net = WeightedDigraph(3, {(0, 1): np.int64(3), (1, 2): np.float32(0.5), (2, 0): 2})
+    assert net.arcs == {(0, 1): 3.0, (1, 2): 0.5, (2, 0): 2.0}
+    assert all(type(cost) is float for cost in net.arcs.values())
+    for bad in (True, np.True_, "1"):
+        with pytest.raises(ValidationError, match=r"cost must be a real number, got "):
+            WeightedDigraph(2, {(0, 1): bad})
+    with pytest.raises(ValidationError, match="cost must be finite and >= 0, got -3"):
+        WeightedDigraph(2, {(0, 1): np.int64(-3)})
 
 
 def test_instance_roundtrip_exact():
@@ -314,3 +331,125 @@ def test_export_instance_dot_mentions_both_clusters():
     assert "x1" in dot and "y2" in dot
     assert 'y1 -> y2 [label="2"]' in dot
     assert 'y2 -> y1 [label="1.5"]' in dot
+
+
+# --- the direct writers against the json.dumps reference -------------------
+
+# the floats where a hand-made formatter would part from json.dumps
+SPECIAL_COSTS = [-0.0, 0.0, 5e-324, 1e-300, 0.1 + 0.2, 1e16, 1e17, 1e22, 2.0**53 + 2]
+costs = st.one_of(st.sampled_from(SPECIAL_COSTS), st.floats(0.0, 1e300))
+# what a library caller may pass as a link cost; the constructor refuses some
+link_costs = st.one_of(
+    costs,
+    st.integers(-2, 10**20),
+    st.integers(0, 10**6).map(np.int64),
+    st.floats(0.0, width=32, allow_infinity=False).map(np.float32),
+    st.booleans(),
+    st.sampled_from([-1.0, np.inf, np.nan]),
+)
+
+
+def _writes_as_reference(instance: ProblemInstance) -> None:
+    text = serialize_instance(instance)
+    assert text == reference_instance_json(instance)
+    assert serialize_instance(parse_instance(text)) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_accepted_instance_roundtrips_byte_for_byte(data):
+    n = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(1, 4))
+    cells = st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+    table = data.draw(st.lists(
+        st.lists(st.one_of(costs, st.just(np.inf)), min_size=n, max_size=n),
+        min_size=m, max_size=m,
+    ))
+    arcs = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), link_costs, max_size=6
+    ))
+    undirected = data.draw(st.booleans())
+    if undirected:
+        arcs.update({(v, u): cost for (u, v), cost in arcs.items()})
+    try:
+        instance = ProblemInstance(
+            n=n,
+            m=m,
+            system_pattern=StructuredMatrix(n, n, frozenset(data.draw(cells))),
+            sensing_cost=np.array(table),
+            network=WeightedDigraph(m, arcs),
+            network_undirected=undirected,
+        )
+    except ValidationError:
+        return
+    _writes_as_reference(instance)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**31 - 1),
+    st.booleans(),
+)
+def test_generated_instances_write_as_reference(n, m, density, seed, undirected):
+    instance = generate_instance(max(n, m), m, density, seed, undirected)
+    _writes_as_reference(instance)
+
+
+@pytest.mark.parametrize("changes", [
+    {"system_pattern": StructuredMatrix(2, 2, frozenset())},
+    {"sensing_cost": [[np.inf, np.inf], [2.0, 1.0]]},
+    {"sensing_cost": np.full((2, 2), np.inf)},
+    {"network": WeightedDigraph(2, {})},
+    {
+        "n": 1,
+        "m": 1,
+        "system_pattern": StructuredMatrix(1, 1, frozenset({(0, 0)})),
+        "sensing_cost": [[1e16]],
+        "network": WeightedDigraph(1, {}),
+    },
+    *({"sensing_cost": [[x, np.inf], [1.0, x]]} for x in SPECIAL_COSTS),
+    *({"network": WeightedDigraph(2, {(0, 1): x, (1, 0): 1.0})} for x in SPECIAL_COSTS),
+])
+def test_hand_shaped_instances_write_as_reference(changes):
+    _writes_as_reference(dataclasses.replace(small_instance(), **changes))
+
+
+scalar_costs = st.one_of(
+    st.floats(),  # NaN and the infinities included: json.dumps writes them as it always has
+    st.integers(-10**20, 10**20),
+    st.floats().map(np.float64),
+    st.sampled_from(SPECIAL_COSTS),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_design_writer_matches_reference(data):
+    m = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(m, 6))
+    states = data.draw(st.permutations(range(n)))[:m]
+    links = data.draw(st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))))
+    design = DesignResult(
+        measurement_pattern=StructuredMatrix(m, n, frozenset(enumerate(states))),
+        network_pattern=StructuredMatrix(m, m, frozenset(links)),
+        sensing_cost=data.draw(scalar_costs),
+        networking_cost=data.draw(scalar_costs),
+        network_optimality=data.draw(st.sampled_from(["exact", "two_approx"])),
+    )
+    assert serialize_design(design) == reference_design_json(design)
+
+
+@pytest.mark.parametrize("cost", [3, np.float64(2.5), float("nan"), -0.0, 1e22])
+def test_design_with_no_links_writes_as_reference(cost):
+    design = dataclasses.replace(
+        _design(),
+        network_pattern=StructuredMatrix(2, 2, frozenset()),
+        sensing_cost=cost,
+        networking_cost=cost,
+    )
+    text = serialize_design(design)
+    assert text == reference_design_json(design)
+    assert '"W": []' in text
