@@ -39,6 +39,17 @@ __all__ = [
 ]
 
 
+def _is_int(x) -> bool:
+    """True for a Python or numpy integer, false for a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """True for a Python or numpy real number, false for a bool; a float
+    skips the slow abstract-class check."""
+    return type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool))
+
+
 @dataclass(frozen=True)
 class StructuredMatrix:
     """A 0/1 sparsity pattern: which entries of a matrix may be nonzero.
@@ -56,12 +67,20 @@ class StructuredMatrix:
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ShapeError(f"negative dimensions {self.rows}x{self.cols}")
-        object.__setattr__(self, "nonzeros", frozenset(self.nonzeros))
-        for (i, j) in self.nonzeros:
+        nonzeros = frozenset(self.nonzeros)
+        numpy_ints = False  # any numpy integer index, to be stored as int
+        for (i, j) in nonzeros:
+            if type(i) is not int or type(j) is not int:  # plain ints skip the slow check
+                if not (_is_int(i) and _is_int(j)):
+                    raise ValidationError(f"nonzero ({i!r}, {j!r}) must have integer indices")
+                numpy_ints = True
             if not (0 <= i < self.rows and 0 <= j < self.cols):
                 raise ValidationError(
                     f"nonzero ({i}, {j}) out of range for {self.rows}x{self.cols} pattern"
                 )
+        if numpy_ints:
+            nonzeros = frozenset((int(i), int(j)) for (i, j) in nonzeros)
+        object.__setattr__(self, "nonzeros", nonzeros)
 
     @property
     def is_square(self) -> bool:
@@ -79,13 +98,15 @@ class WeightedDigraph:
     arcs: Mapping[tuple[int, int], float]
 
     def __post_init__(self):
+        if self.node_count < 1:
+            raise ValidationError(f"network needs node_count >= 1, got {self.node_count}")
         arcs = dict(self.arcs)
         for (u, v), cost in arcs.items():
             if not (0 <= u < self.node_count and 0 <= v < self.node_count):
                 raise ValidationError(f"arc ({u}, {v}) out of range")
             if u == v:
                 raise ValidationError(f"arc ({u}, {v}) is a self-link, which is not allowed")
-            if isinstance(cost, bool) or not isinstance(cost, numbers.Real):
+            if not _is_real(cost):
                 raise ValidationError(f"arc ({u}, {v}) cost must be a real number, got {cost!r}")
             if not math.isfinite(cost) or cost < 0:
                 raise ValidationError(f"arc ({u}, {v}) cost must be finite and >= 0, got {cost}")
@@ -99,10 +120,8 @@ class WeightedDigraph:
         return True
 
 
-def _bad_cost(i: int, j: int, cost) -> ValidationError:
-    return ValidationError(
-        f"sensing cost for sensor {i + 1}, state {j + 1} must be finite and >= 0, got {cost}"
-    )
+def _bad_cost(i: int, j: int, rule: str) -> ValidationError:
+    return ValidationError(f"sensing cost for sensor {i + 1}, state {j + 1} must be {rule}")
 
 
 def _cost_table(costs, m: int, n: int) -> np.ndarray:
@@ -112,18 +131,26 @@ def _cost_table(costs, m: int, n: int) -> np.ndarray:
         for (i, j), cost in costs.items():
             if not (0 <= i < m and 0 <= j < n):
                 raise ValidationError(f"sensing cost entry ({i}, {j}) out of range")
+            if not _is_real(cost):
+                raise _bad_cost(i, j, f"a real number, got {cost!r}")
             if not math.isfinite(cost) or cost < 0:
-                raise _bad_cost(i, j, cost)
+                raise _bad_cost(i, j, f"finite and >= 0, got {cost}")
             table[i, j] = cost
     else:
-        table = np.array(costs, dtype=np.float64)
+        try:
+            table = np.array(costs)
+        except ValueError as exc:
+            raise ValidationError(f"sensing cost is not an array: {exc}") from exc
+        if table.dtype.kind not in "iuf":  # bool, complex, str and object refused
+            raise ValidationError(f"sensing cost must hold real numbers, got dtype {table.dtype}")
+        table = table.astype(np.float64, copy=False)
         if table.shape != (m, n):
             shape = "x".join(map(str, table.shape))
             raise ShapeError(f"sensing cost is {shape}, expected {m}x{n}")
         bad = np.flatnonzero(np.isnan(table) | (table < 0))
         if bad.size:
             i, j = divmod(int(bad[0]), n)
-            raise _bad_cost(i, j, float(table[i, j]))
+            raise _bad_cost(i, j, f"finite and >= 0, got {float(table[i, j])}")
     table.flags.writeable = False
     return table
 

@@ -7,10 +7,10 @@ and takes the union of a minimum out-branching and a minimum in-branching,
 which costs at most twice the optimum. Exact brute-force oracles back both
 routes for small cases.
 
-Strong connectivity and reachability come from ``structural.reachable``.
-On a strongly connected network one root-free contraction per direction
-serves every root; each root's out- and in-branching is then one O(m)
-expansion of it.
+Branchings are taken on strongly connected networks only: there one
+root-free contraction per direction serves every root, and each root's
+out- or in-branching is one O(m) expansion of it, for ``min_branching``
+and the union solvers alike.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import GuardError, InfeasibleError, ShapeError, ValidationError
 from .graphs import WeightedDigraph
-from .structural import arcs_strongly_connected, reachable
+from .structural import arcs_strongly_connected
 
 __all__ = [
     "NetworkDesign",
@@ -135,23 +135,22 @@ def _lexmin(vals: np.ndarray, keys: np.ndarray, axis: int):
     return candidates.argmin(axis=axis), low.squeeze(axis), candidates.min(axis=axis)
 
 
-def _contract(D: np.ndarray, KEY: np.ndarray, root: int | None = None):
+def _contract(D: np.ndarray, KEY: np.ndarray):
     """Edmonds' contraction phase as one loop over in-place cost matrices.
 
-    D[u, v] costs arc u -> v (inf when absent); KEY[u, v] is the key u*m + v
-    of the original arc it stands for. Each node keeps its cheapest in-arc,
-    ties to the smallest key. The first cycle found (walking in-arcs from
-    each start in scan order) becomes a set in its first member's slot, last
-    in scan order; the other members' rows and columns become inf. Into the
-    set an arc costs D minus its head's cheapest in-cost, out of it its own
-    cost; per row and column the cheapest survives, ties by key, so only the
-    set's column needs a new argmin. With ``root``, the root takes no in-arc
-    and the loop ends when no cycle is left: Edmonds at that root. Without,
-    a strongly connected network contracts to one node, and that contraction
+    D[u, v] costs arc u -> v (inf when absent) on a strongly connected
+    network; KEY[u, v] is the key u*m + v of the original arc it stands for.
+    Each node keeps its cheapest in-arc, ties to the smallest key. Walking
+    in-arcs from each start in scan order always closes a cycle; the first
+    one becomes a set in its first member's slot, last in scan order; the
+    other members' rows and columns become inf. Into the set an arc costs D
+    minus its head's cheapest in-cost, out of it its own cost; per row and
+    column the cheapest survives, ties by key, so only the set's column
+    needs a new argmin. The network ends as one node, and that contraction
     serves every root (Gabow, Galil, Spencer and Tarjan 1986, section 3).
     Returns the contraction tree over the sensors 0..m-1, then the sets as
     they formed: each node's ``parent`` and ``in_key``, the key of its
-    in-arc when it joined a set or the loop ended (-1: none).
+    in-arc when it joined a set (-1: none).
     """
     m = D.shape[0]
     # KEY starts as u*m + v, growing down every column of D and of D.T, so
@@ -159,25 +158,17 @@ def _contract(D: np.ndarray, KEY: np.ndarray, root: int | None = None):
     best_row, best_cost = D.argmin(axis=0), D.min(axis=0)
     parent, in_key = [-1] * m, [-1] * m
     held, slot_of = list(range(m)), list(range(m))  # slot -> node, node -> slot
-    # per slot: 0 unseen, 1 on the current walk, 2 leads to the root
-    color = [2 if u == root else 0 for u in range(m)]
+    on_walk = [False] * m  # per slot
     scan, path, v, live = 0, [], None, m
     while live > 1:
-        if v is None:  # the next unseen live node in scan order starts a walk
-            while scan < len(parent) and (parent[scan] >= 0 or color[slot_of[scan]]):
+        if v is None:  # the next live node in scan order starts a walk
+            while parent[scan] >= 0:
                 scan += 1
-            if scan == len(parent):
-                break
             v = slot_of[scan]
-        while color[v] == 0:
-            color[v] = 1
+        while not on_walk[v]:
+            on_walk[v] = True
             path.append(v)
             v = int(best_row[v])
-        if color[v] == 2:
-            for u in path:
-                color[u] = 2
-            path, v = [], None
-            continue
         cut = path.index(v)
         cycle, path = path[cut:], path[:cut]
         s, new = cycle[0], len(parent)
@@ -193,17 +184,12 @@ def _contract(D: np.ndarray, KEY: np.ndarray, root: int | None = None):
         D[s, s] = np.inf
         best_row[(best_row[:, None] == members).any(axis=1)] = s
         best_row[s], best_cost[s], _ = _lexmin(D[:, s], KEY[:, s], 0)
-        held[s], color[s] = new, 0
+        held[s], on_walk[s] = new, False
         slot_of.append(s)
         parent.append(-1)
         in_key.append(-1)
         live -= len(cycle) - 1
         v = s if path else None
-
-    if root is not None:
-        for s, node in enumerate(held):
-            if parent[node] < 0 and s != root:
-                in_key[node] = int(KEY[best_row[s], s])
     return parent, in_key
 
 
@@ -233,9 +219,18 @@ def _expand(tree, root: int, m: int, forward: bool) -> frozenset[Arc]:
     return frozenset(arcs)
 
 
-def _cost_matrices(net: WeightedDigraph) -> tuple[np.ndarray, np.ndarray]:
-    """Dense arc costs (inf when absent) and the arc keys KEY[u, v] = u*m + v."""
+def _cost_matrices(net: WeightedDigraph, roots) -> tuple[np.ndarray, np.ndarray]:
+    """Dense arc costs (inf when absent) and the arc keys KEY[u, v] = u*m + v
+    of a strongly connected network, once every root is in range."""
     m = net.node_count
+    if not arcs_strongly_connected(m, net.arcs):
+        raise InfeasibleError(
+            "candidate network is not strongly connected; no strongly"
+            " connected spanning subgraph exists"
+        )
+    for root in roots:
+        if not (0 <= root < m):
+            raise ShapeError(f"root {root} out of range for {m} sensors")
     D = np.full((m, m), np.inf)
     for (u, v), cost in net.arcs.items():
         D[u, v] = cost
@@ -246,7 +241,8 @@ def _cost_matrices(net: WeightedDigraph) -> tuple[np.ndarray, np.ndarray]:
 def min_branching(
     net: WeightedDigraph, root: int, direction: str
 ) -> tuple[frozenset[Arc], float]:
-    """Minimum-cost spanning branching through ``root``.
+    """Minimum-cost spanning branching through ``root`` of a strongly
+    connected network, read from the contraction ``msss_best_root`` uses.
 
     direction "out": every node is reachable from the root along selected
     arcs (each non-root node gets exactly one incoming arc). direction "in":
@@ -255,22 +251,10 @@ def min_branching(
     """
     if direction not in ("in", "out"):
         raise ValidationError(f"direction must be 'in' or 'out', got {direction!r}")
-    m = net.node_count
-    if not (0 <= root < m):
-        raise ShapeError(f"root {root} out of range for {m} sensors")
-
     forward = direction == "out"
-    seen = reachable(m, net.arcs, root, forward)
-    if not all(seen):
-        missing = seen.index(False) + 1
-        rel = "reachable from" if forward else "able to reach"
-        raise InfeasibleError(
-            f"no spanning {direction}-branching: sensor {missing} is not"
-            f" {rel} root sensor {root + 1}"
-        )
+    D, KEY = _cost_matrices(net, [root])
     # "in" is the out-branching of D.T; KEY stays, so ties break as on a reversed net
-    D, KEY = _cost_matrices(net)
-    arcs = _expand(_contract(D if forward else D.T, KEY, root), root, m, forward)
+    arcs = _expand(_contract(D if forward else D.T, KEY), root, net.node_count, forward)
     return arcs, _arcs_cost(net, arcs)
 
 
@@ -280,16 +264,8 @@ def _best_union(net: WeightedDigraph, roots) -> NetworkDesign:
     m = net.node_count
     if m == 1:
         return NetworkDesign(frozenset(), 0.0, "branching-union", None, 0.0)
-    if not arcs_strongly_connected(m, net.arcs):
-        raise InfeasibleError(
-            "candidate network is not strongly connected; no strongly"
-            " connected spanning subgraph exists"
-        )
     roots = list(roots)
-    for root in roots:
-        if not (0 <= root < m):
-            raise ShapeError(f"root {root} out of range for {m} sensors")
-    D, KEY = _cost_matrices(net)
+    D, KEY = _cost_matrices(net, roots)
     out_tree = _contract(D.copy(), KEY.copy())
     in_tree = _contract(D.T, KEY)
     best: NetworkDesign | None = None

@@ -7,10 +7,6 @@ structurally full-rank system pattern, structural observability holds
 exactly when every parent component contains at least one measured state,
 and the distributed variant additionally needs one sensor per parent
 component with a strongly connected sensor network.
-
-Reachability lives here too: ``reachable`` is the one breadth-first search
-over an arc list, and every strong-connectivity test in the package, the
-network solvers' included, is built on it.
 """
 
 from __future__ import annotations
@@ -159,34 +155,29 @@ def scc_decompose(pattern: StructuredMatrix) -> SccPartition:
     )
 
 
-def reachable(node_count: int, arcs: Iterable[tuple[int, int]], source: int,
-              forward: bool) -> list[bool]:
-    """Which nodes ``source`` reaches along ``arcs``, or against them when
-    ``forward`` is false (the nodes that reach ``source``)."""
-    adj: list[list[int]] = [[] for _ in range(node_count)]
-    for (u, v) in arcs:
-        if forward:
-            adj[u].append(v)
-        else:
-            adj[v].append(u)
-    seen = [False] * node_count
-    seen[source] = True
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    return seen
-
-
 def arcs_strongly_connected(node_count: int, arcs: Iterable[tuple[int, int]]) -> bool:
-    """True iff the arcs on nodes 0..node_count-1 form one SCC; ``arcs`` is
-    read twice, so pass a collection rather than an iterator."""
-    return node_count <= 1 or (
-        all(reachable(node_count, arcs, 0, True)) and all(reachable(node_count, arcs, 0, False))
-    )
+    """True iff the arcs on nodes 0..node_count-1 form one SCC: node 0
+    reaches every node along the arcs and against them. This search is the
+    strong-connectivity test of the whole package, the network solvers'
+    included."""
+    if node_count <= 1:
+        return True
+    along: list[list[int]] = [[] for _ in range(node_count)]
+    against: list[list[int]] = [[] for _ in range(node_count)]
+    for (u, v) in arcs:
+        along[u].append(v)
+        against[v].append(u)
+    for adj in (along, against):
+        seen = [True] + [False] * (node_count - 1)
+        stack = [0]
+        while stack:
+            for v in adj[stack.pop()]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        if not all(seen):
+            return False
+    return True
 
 
 def max_bipartite_matching(adjacency: list[list[int]], n_right: int) -> dict[int, int]:

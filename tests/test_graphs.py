@@ -43,6 +43,23 @@ def test_structured_matrix_rejects_out_of_range():
         StructuredMatrix(-1, 2, frozenset())
 
 
+def test_structured_matrix_takes_only_integer_indices():
+    pattern = StructuredMatrix(2, 2, frozenset({(np.int64(1), np.int32(0)), (0, 1)}))
+    assert pattern.nonzeros == {(1, 0), (0, 1)}
+    assert all(type(x) is int for pair in pattern.nonzeros for x in pair)
+    for bad in ((0.5, 1), (1, 1.0), (True, 0), (np.float64(0.0), 1)):
+        with pytest.raises(ValidationError, match=r"^nonzero \(.*\) must have integer indices$"):
+            StructuredMatrix(2, 2, frozenset({bad, (1, 0)}))
+    with pytest.raises(ValidationError, match=r"^nonzero \(0\.5, 1\) "):
+        StructuredMatrix(2, 2, frozenset({(0.5, 1)}))
+
+
+def test_weighted_digraph_needs_a_node():
+    for count in (0, -1):
+        with pytest.raises(ValidationError, match=f"^network needs node_count >= 1, got {count}$"):
+            WeightedDigraph(count, {})
+
+
 def test_weighted_digraph_rejects_bad_costs():
     with pytest.raises(ValidationError):
         WeightedDigraph(2, {(0, 1): -1.0})
@@ -136,6 +153,26 @@ def test_sensing_cost_mapping_rejects_bad_entries():
         assert str(info.value) == (
             f"sensing cost for sensor 2, state 2 must be finite and >= 0, got {bad}"
         )
+
+
+def test_sensing_cost_must_be_real_numbers():
+    for bad in ("1", None, 1j, True, np.True_):
+        with pytest.raises(ValidationError) as info:
+            _with_costs({(0, 0): bad})
+        assert str(info.value) == (
+            f"sensing cost for sensor 1, state 1 must be a real number, got {bad!r}"
+        )
+    for bad, dtype in (([["x"]], "<U1"), ([[True]], "bool"), ([[1j, 1], [1, 1]], "complex128"),
+                       ([[1, None], [1, 1]], "object"), ([[10**20]], "object")):
+        with pytest.raises(ValidationError) as info:
+            _with_costs(bad)
+        assert str(info.value) == f"sensing cost must hold real numbers, got dtype {dtype}"
+    with pytest.raises(ValidationError, match="^sensing cost is not an array: "):
+        _with_costs([[1.0, 2.0], [3.0]])
+    # integer arrays are real numbers
+    assert _with_costs(np.array([[1, 2], [3, 4]], dtype=np.uint8)).sensing_cost.tolist() == [
+        [1.0, 2.0], [3.0, 4.0]
+    ]
 
 
 def test_parse_instance_rejects_garbage():
