@@ -253,7 +253,10 @@ def test_parse_instance_rejects_bad_entries(edit, message):
     ({"network": WeightedDigraph(3, {})}, ShapeError, "network has 3 nodes, expected m=2"),
     ({"network_undirected": True}, ValidationError,
      "network is flagged undirected but the links are not symmetric with equal costs"),
-], ids=["n-zero", "m-zero", "pattern-shape", "network-size", "asymmetric-undirected"])
+    ({"network": WeightedDigraph(2, {(0, 1): 1.0}), "network_undirected": True}, ValidationError,
+     "network is flagged undirected but the links are not symmetric with equal costs"),
+], ids=["n-zero", "m-zero", "pattern-shape", "network-size", "asymmetric-undirected",
+        "one-way-undirected"])
 def test_problem_instance_rejects_inconsistent_fields(changes, error, message):
     with pytest.raises(error) as info:
         dataclasses.replace(small_instance(), **changes)
@@ -270,6 +273,34 @@ def test_parse_instance_undirected_needs_symmetry():
     sym["net"]["undirected"] = True
     with pytest.raises(ValidationError, match="no reverse"):
         parse_instance(json.dumps(sym))
+
+
+def _three_sensor_links(*links) -> str:
+    """An undirected three-sensor instance document with the 1-based links
+    (from, to, cost) in this order."""
+    return json.dumps({
+        "n": 1, "m": 3, "A": [[1, 1]], "c": [],
+        "net": {"undirected": True,
+                "links": [{"from": u, "to": v, "cost": c} for (u, v, c) in links]},
+    })
+
+
+@pytest.mark.parametrize("links, message", [
+    ([(3, 2, 1.0), (1, 2, 1.0), (2, 1, 1.0)],
+     "net: undirected flag set but link 3 -> 2 has no reverse link 2 -> 3"),
+    ([(2, 1, 1.0), (1, 3, 1.0), (1, 2, 1.0)],
+     "net: undirected flag set but link 1 -> 3 has no reverse link 3 -> 1"),
+    ([(2, 1, 4.0), (1, 2, 2.5)],
+     "net: undirected flag set but links 2 <-> 1 have unequal costs 4.0 and 2.5"),
+    ([(3, 1, 1.0), (1, 2, 2.0), (2, 1, 1.0), (1, 3, 1.0)],
+     "net: undirected flag set but links 1 <-> 2 have unequal costs 2.0 and 1.0"),
+    ([(2, 3, 1.0), (1, 2, 2.0), (2, 1, 1.0)],
+     "net: undirected flag set but link 2 -> 3 has no reverse link 3 -> 2"),
+], ids=["missing-first", "missing-later", "unequal-first", "unequal-later", "missing-before-unequal"])
+def test_parse_instance_names_the_first_asymmetric_link_in_the_document(links, message):
+    with pytest.raises(ValidationError) as info:
+        parse_instance(_three_sensor_links(*links))
+    assert str(info.value) == message
 
 
 def _design() -> DesignResult:

@@ -87,6 +87,20 @@ def test_mst_rejects_asymmetric():
         mst_solve(WeightedDigraph(2, {(0, 1): 1.0, (1, 0): 2.0}))
 
 
+@pytest.mark.parametrize("solve, message", [
+    (mst_solve, "network is not symmetric; undirected solving needs every link"
+                " present in both directions with equal cost"),
+    (brute_force_mst, "spanning-tree oracle needs a symmetric network"),
+], ids=["mst", "brute-force-mst"])
+@pytest.mark.parametrize("arcs", [
+    {(0, 1): 1.0}, {(0, 1): 1.0, (1, 0): 2.0}, {(1, 2): 1.0, (2, 1): 1.0, (0, 1): 1.0},
+], ids=["missing", "unequal", "missing-last"])
+def test_undirected_solvers_name_the_symmetry_rule(solve, message, arcs):
+    with pytest.raises(ValidationError) as info:
+        solve(WeightedDigraph(3, arcs))
+    assert str(info.value) == message
+
+
 def test_mst_matches_tree_enumeration():
     rng = np.random.default_rng(13)
     for _ in range(120):
