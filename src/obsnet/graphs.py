@@ -39,15 +39,31 @@ __all__ = [
 ]
 
 
-def _is_int(x) -> bool:
-    """True for a Python or numpy integer, false for a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+def _index_pairs(pairs, rows: int, cols: int, what: str, owner: str) -> list | None:
+    """The index rule of patterns, arcs and sensing-cost keys: each (i, j)
+    in ``pairs`` holds two integers, bools excluded, with 0 <= i < rows and
+    0 <= j < cols. Returns the pairs as plain ints if any index was a numpy
+    integer, else None, as plain ints need no copy."""
+    numpy_ints = False
+    for (i, j) in pairs:
+        if type(i) is not int or type(j) is not int:  # plain ints skip the slow check
+            if not all(isinstance(x, numbers.Integral) and type(x) is not bool for x in (i, j)):
+                raise ValidationError(f"{what} ({i!r}, {j!r}) must have integer indices")
+            numpy_ints = True
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise ValidationError(f"{what} ({i}, {j}) out of range for {rows}x{cols} {owner}")
+    return [(int(i), int(j)) for (i, j) in pairs] if numpy_ints else None
 
 
-def _is_real(x) -> bool:
-    """True for a Python or numpy real number, false for a bool; a float
-    skips the slow abstract-class check."""
-    return type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool))
+def _cost_value(cost, what: str, i: int, j: int) -> float:
+    """The cost rule of links and sensing: ``cost`` as a float once it is a
+    real number, bools excluded, finite and >= 0; ``what % (i, j)`` names
+    the cost in an error, formatted only then."""
+    real = type(cost) is float or (isinstance(cost, numbers.Real) and not isinstance(cost, bool))
+    if real and math.isfinite(cost) and cost >= 0:
+        return float(cost)
+    rule = f"finite and >= 0, got {cost}" if real else f"a real number, got {cost!r}"
+    raise ValidationError(f"{what % (i, j)} must be {rule}")
 
 
 @dataclass(frozen=True)
@@ -68,19 +84,8 @@ class StructuredMatrix:
         if self.rows < 0 or self.cols < 0:
             raise ShapeError(f"negative dimensions {self.rows}x{self.cols}")
         nonzeros = frozenset(self.nonzeros)
-        numpy_ints = False  # any numpy integer index, to be stored as int
-        for (i, j) in nonzeros:
-            if type(i) is not int or type(j) is not int:  # plain ints skip the slow check
-                if not (_is_int(i) and _is_int(j)):
-                    raise ValidationError(f"nonzero ({i!r}, {j!r}) must have integer indices")
-                numpy_ints = True
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise ValidationError(
-                    f"nonzero ({i}, {j}) out of range for {self.rows}x{self.cols} pattern"
-                )
-        if numpy_ints:
-            nonzeros = frozenset((int(i), int(j)) for (i, j) in nonzeros)
-        object.__setattr__(self, "nonzeros", nonzeros)
+        pairs = _index_pairs(nonzeros, self.rows, self.cols, "nonzero", "pattern")
+        object.__setattr__(self, "nonzeros", nonzeros if pairs is None else frozenset(pairs))
 
     @property
     def is_square(self) -> bool:
@@ -101,41 +106,32 @@ class WeightedDigraph:
         if self.node_count < 1:
             raise ValidationError(f"network needs node_count >= 1, got {self.node_count}")
         arcs = dict(self.arcs)
+        pairs = _index_pairs(arcs, self.node_count, self.node_count, "arc", "network")
+        if pairs is not None:
+            arcs = dict(zip(pairs, arcs.values()))
         for (u, v), cost in arcs.items():
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise ValidationError(f"arc ({u}, {v}) out of range")
             if u == v:
                 raise ValidationError(f"arc ({u}, {v}) is a self-link, which is not allowed")
-            if not _is_real(cost):
-                raise ValidationError(f"arc ({u}, {v}) cost must be a real number, got {cost!r}")
-            if not math.isfinite(cost) or cost < 0:
-                raise ValidationError(f"arc ({u}, {v}) cost must be finite and >= 0, got {cost}")
-            arcs[(u, v)] = float(cost)  # an int cost would serialize as 1, parse as 1.0
+            # an int cost would serialize as 1, parse as 1.0
+            arcs[(u, v)] = _cost_value(cost, "arc (%d, %d) cost", u, v)
         object.__setattr__(self, "arcs", arcs)
 
-    def is_symmetric(self) -> bool:
+    def asymmetric_arc(self) -> tuple[int, int] | None:
+        """The symmetry rule of undirected networks: the first arc, in
+        insertion order, whose reverse is missing or costs differently;
+        None when every link has an equal-cost reverse."""
         for (u, v), c in self.arcs.items():
             if self.arcs.get((v, u)) != c:
-                return False
-        return True
-
-
-def _bad_cost(i: int, j: int, rule: str) -> ValidationError:
-    return ValidationError(f"sensing cost for sensor {i + 1}, state {j + 1} must be {rule}")
+                return (u, v)
+        return None
 
 
 def _cost_table(costs, m: int, n: int) -> np.ndarray:
     """Read-only (m, n) copy of the sensing costs, inf where forbidden."""
     if isinstance(costs, Mapping):
         table = np.full((m, n), np.inf)
-        for (i, j), cost in costs.items():
-            if not (0 <= i < m and 0 <= j < n):
-                raise ValidationError(f"sensing cost entry ({i}, {j}) out of range")
-            if not _is_real(cost):
-                raise _bad_cost(i, j, f"a real number, got {cost!r}")
-            if not math.isfinite(cost) or cost < 0:
-                raise _bad_cost(i, j, f"finite and >= 0, got {cost}")
-            table[i, j] = cost
+        _index_pairs(costs, m, n, "sensing cost entry", "table")  # numpy ints index as well
+        entries = costs.items()
     else:
         try:
             table = np.array(costs)
@@ -147,10 +143,11 @@ def _cost_table(costs, m: int, n: int) -> np.ndarray:
         if table.shape != (m, n):
             shape = "x".join(map(str, table.shape))
             raise ShapeError(f"sensing cost is {shape}, expected {m}x{n}")
-        bad = np.flatnonzero(np.isnan(table) | (table < 0))
-        if bad.size:
-            i, j = divmod(int(bad[0]), n)
-            raise _bad_cost(i, j, f"finite and >= 0, got {float(table[i, j])}")
+        # inf forbids a pair; the first NaN or negative entry breaks the cost rule
+        bad = np.flatnonzero(np.isnan(table) | (table < 0))[:1]
+        entries = [(divmod(int(k), n), float(table.flat[k])) for k in bad]
+    for (i, j), cost in entries:
+        table[i, j] = _cost_value(cost, "sensing cost for sensor %d, state %d", i + 1, j + 1)
     table.flags.writeable = False
     return table
 
@@ -193,7 +190,7 @@ class ProblemInstance:
             raise ShapeError(
                 f"network has {self.network.node_count} nodes, expected m={self.m}"
             )
-        if self.network_undirected and not self.network.is_symmetric():
+        if self.network_undirected and self.network.asymmetric_arc() is not None:
             raise ValidationError(
                 "network is flagged undirected but the links are not symmetric"
                 " with equal costs"
@@ -371,25 +368,23 @@ def parse_instance(text: str) -> ProblemInstance:
         if (u, v) in arcs:
             raise ValidationError(f"net.links[{k}]: duplicate link {u + 1} -> {v + 1}")
         arcs[(u, v)] = cost
-    if undirected:
-        for (u, v), cost in arcs.items():
-            if (v, u) not in arcs:
-                raise ValidationError(
-                    f"net: undirected flag set but link {u + 1} -> {v + 1}"
-                    f" has no reverse link {v + 1} -> {u + 1}"
-                )
-            if arcs[(v, u)] != cost:
-                raise ValidationError(
-                    f"net: undirected flag set but links {u + 1} <-> {v + 1}"
-                    f" have unequal costs {cost} and {arcs[(v, u)]}"
-                )
+    network = WeightedDigraph(m, arcs)  # keeps the document's link order
+    bad = network.asymmetric_arc() if undirected else None
+    if bad is not None:
+        u, v = bad
+        back = arcs.get((v, u))
+        if back is None:
+            raise ValidationError(f"net: undirected flag set but link {u + 1} -> {v + 1}"
+                                  f" has no reverse link {v + 1} -> {u + 1}")
+        raise ValidationError(f"net: undirected flag set but links {u + 1} <-> {v + 1}"
+                              f" have unequal costs {arcs[bad]} and {back}")
 
     return ProblemInstance(
         n=n,
         m=m,
         system_pattern=system_pattern,
         sensing_cost=sensing_cost,
-        network=WeightedDigraph(m, arcs),
+        network=network,
         network_undirected=undirected,
     )
 

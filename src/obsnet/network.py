@@ -79,7 +79,7 @@ def mst_solve(net: WeightedDigraph) -> NetworkDesign:
     total_cost is the directed objective (twice the tree cost under
     symmetric link costs).
     """
-    if not net.is_symmetric():
+    if net.asymmetric_arc() is not None:
         raise ValidationError(
             "network is not symmetric; undirected solving needs every link"
             " present in both directions with equal cost"
@@ -219,15 +219,19 @@ def _expand(tree, root: int, m: int, forward: bool) -> frozenset[Arc]:
     return frozenset(arcs)
 
 
-def _cost_matrices(net: WeightedDigraph, roots) -> tuple[np.ndarray, np.ndarray]:
-    """Dense arc costs (inf when absent) and the arc keys KEY[u, v] = u*m + v
-    of a strongly connected network, once every root is in range."""
-    m = net.node_count
-    if not arcs_strongly_connected(m, net.arcs):
+def _require_strongly_connected(net: WeightedDigraph) -> None:
+    if not arcs_strongly_connected(net.node_count, net.arcs):
         raise InfeasibleError(
             "candidate network is not strongly connected; no strongly"
             " connected spanning subgraph exists"
         )
+
+
+def _cost_matrices(net: WeightedDigraph, roots) -> tuple[np.ndarray, np.ndarray]:
+    """Dense arc costs (inf when absent) and the arc keys KEY[u, v] = u*m + v
+    of a strongly connected network, once every root is in range."""
+    m = net.node_count
+    _require_strongly_connected(net)
     for root in roots:
         if not (0 <= root < m):
             raise ShapeError(f"root {root} out of range for {m} sensors")
@@ -262,10 +266,10 @@ def _best_union(net: WeightedDigraph, roots) -> NetworkDesign:
     """Cheapest out- plus in-branching union over ``roots``; the first root
     wins a tie."""
     m = net.node_count
+    roots = list(roots)
+    D, KEY = _cost_matrices(net, roots)  # checks the roots, at m == 1 too
     if m == 1:
         return NetworkDesign(frozenset(), 0.0, "branching-union", None, 0.0)
-    roots = list(roots)
-    D, KEY = _cost_matrices(net, roots)
     out_tree = _contract(D.copy(), KEY.copy())
     in_tree = _contract(D.T, KEY)
     best: NetworkDesign | None = None
@@ -314,11 +318,7 @@ def brute_force_msss(net: WeightedDigraph) -> NetworkDesign:
         )
     if m == 1:
         return NetworkDesign(frozenset(), 0.0, "brute-force", None, 0.0)
-    if not arcs_strongly_connected(m, arcs):
-        raise InfeasibleError(
-            "candidate network is not strongly connected; no strongly"
-            " connected spanning subgraph exists"
-        )
+    _require_strongly_connected(net)
     k = len(arcs)
     costs = [float(net.arcs[a]) for a in arcs]
 
@@ -389,7 +389,7 @@ def brute_force_msss(net: WeightedDigraph) -> NetworkDesign:
 
 def brute_force_mst(net: WeightedDigraph) -> NetworkDesign:
     """Exact oracle for the undirected case: enumerate all spanning trees."""
-    if not net.is_symmetric():
+    if net.asymmetric_arc() is not None:
         raise ValidationError("spanning-tree oracle needs a symmetric network")
     m = net.node_count
     edges = sorted({(min(u, v), max(u, v)) for (u, v) in net.arcs})

@@ -211,10 +211,7 @@ def brute_force_assignment(matrix: ParentCostMatrix) -> SensorAssignment:
 
 
 def recover_measurement_structure(assignment: SensorAssignment, n: int) -> StructuredMatrix:
-    """Measurement pattern with one nonzero per sensor at its chosen state."""
+    """Measurement pattern with one nonzero per sensor at its chosen state;
+    ``DesignResult`` refuses one that measures a state twice."""
     m = len(assignment.assignment)
-    nonzeros = {(i, assignment.measured_state[i]) for i in range(m)}
-    states = [j for (_, j) in nonzeros]
-    if len(set(states)) != m:
-        raise InfeasibleError("assignment measures one state twice")
-    return StructuredMatrix(m, n, frozenset(nonzeros))
+    return StructuredMatrix(m, n, frozenset(enumerate(assignment.measured_state)))

@@ -98,20 +98,24 @@ def _rowspace_rank(step, c: np.ndarray, n: int, tolerance: float) -> int:
     singular value seen, so the test is scale-free.
     """
     _check_tolerance(tolerance)
-    basis = np.zeros((0, n))
+    basis = np.empty((n, n))  # rows [:rank] hold it; rows never written take no memory
+    rank = 0
     frontier = c
     reference = 0.0
-    while frontier.shape[0] and basis.shape[0] < n:
-        residual = frontier - (frontier @ basis.T) @ basis
-        residual = residual - (residual @ basis.T) @ basis  # twice is enough
+    while frontier.shape[0] and rank < n:
+        b = basis[:rank]
+        residual = frontier - (frontier @ b.T) @ b
+        residual = residual - (residual @ b.T) @ b  # twice is enough
         _, sing, vt = np.linalg.svd(residual, full_matrices=False)
         reference = max(reference, float(sing[0]))
         fresh = vt[sing > tolerance * reference]
-        if fresh.shape[0] == 0:
-            break
-        basis = np.vstack([basis, fresh])
+        k = fresh.shape[0]
+        if k == 0 or rank + k >= n:  # nothing new, or a full basis: no further step
+            return rank + k
+        basis[rank:rank + k] = fresh
+        rank += k
         frontier = step(fresh)
-    return basis.shape[0]
+    return rank
 
 
 def kalman_rank_observable(

@@ -310,6 +310,27 @@ def observability_matrix_rank(a: np.ndarray, c: np.ndarray, tol: float = 1e-8) -
     return int(np.sum(sing > tol * sing[0]))
 
 
+def growing_basis_rank(a: np.ndarray, c: np.ndarray, tol: float) -> int:
+    """The row-space expansion of ``kalman_rank_observable`` with a basis
+    that grows by one ``np.vstack`` per step: the same projections and
+    cut-off, so the same count, even where the last step overshoots n."""
+    n = a.shape[0]
+    basis = np.zeros((0, n))
+    frontier = c
+    reference = 0.0
+    while frontier.shape[0] and basis.shape[0] < n:
+        residual = frontier - (frontier @ basis.T) @ basis
+        residual = residual - (residual @ basis.T) @ basis
+        _, sing, vt = np.linalg.svd(residual, full_matrices=False)
+        reference = max(reference, float(sing[0]))
+        fresh = vt[sing > tol * reference]
+        if fresh.shape[0] == 0:
+            break
+        basis = np.vstack([basis, fresh])
+        frontier = fresh @ a
+    return basis.shape[0]
+
+
 def exact_observability_rank(a: np.ndarray, c: np.ndarray) -> int:
     """Rank of the stacked observability matrix in exact arithmetic.
 

@@ -33,7 +33,7 @@ def test_generated_undirected_networks():
     for seed in range(10):
         instance = generate_instance(5, 4, density=0.5, seed=seed, undirected=True)
         assert instance.network_undirected
-        assert instance.network.is_symmetric()
+        assert instance.network.asymmetric_arc() is None
         assert arcs_strongly_connected(4, instance.network.arcs)
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obsnet import (
+    ObsnetError,
     ProblemInstance,
     ShapeError,
     StructuredMatrix,
@@ -14,6 +15,7 @@ from obsnet import (
     WeightedDigraph,
     export_instance_dot,
     generate_instance,
+    msss_best_root,
     parse_design,
     parse_instance,
     serialize_design,
@@ -70,6 +72,35 @@ def test_weighted_digraph_rejects_bad_costs():
     # parse_instance refuses a self-link, so the constructor does too
     with pytest.raises(ValidationError, match=r"^arc \(0, 0\) is a self-link, which is not allowed$"):
         WeightedDigraph(2, {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 2.0})
+
+
+def test_arcs_and_sensing_keys_take_the_pattern_index_rule():
+    # a float index was accepted as an arc, and msss_best_root then raised a
+    # bare TypeError; as a sensing-cost key it raised numpy's IndexError
+    with pytest.raises(ValidationError) as info:
+        msss_best_root(WeightedDigraph(2, {(0.5, 1): 1.0, (1, 0): 1.0}))
+    assert str(info.value) == "arc (0.5, 1) must have integer indices"
+    with pytest.raises(ValidationError) as info:
+        _with_costs({(0.5, 0): 1.0})
+    assert str(info.value) == "sensing cost entry (0.5, 0) must have integer indices"
+    for bad in ((True, 1), (0, "1"), (None, 0), (np.float64(0.0), 1)):
+        with pytest.raises(ValidationError, match=r"^arc \(.*\) must have integer indices$"):
+            WeightedDigraph(2, {bad: 1.0})
+        with pytest.raises(ValidationError, match=r"^sensing cost entry \(.*\) must have integer"):
+            _with_costs({bad: 1.0})
+    for (pair, message) in (((0, 2), "arc (0, 2) out of range for 2x2 network"),
+                            ((-1, 0), "arc (-1, 0) out of range for 2x2 network")):
+        with pytest.raises(ValidationError) as info:
+            WeightedDigraph(2, {pair: 1.0})
+        assert str(info.value) == message
+    with pytest.raises(ValidationError) as info:
+        _with_costs({(2, 0): 1.0})
+    assert str(info.value) == "sensing cost entry (2, 0) out of range for 2x2 table"
+    net = WeightedDigraph(2, {(np.int64(0), np.uint8(1)): 1.0, (np.int32(1), 0): 2.0})
+    assert net.arcs == {(0, 1): 1.0, (1, 0): 2.0}
+    assert all(type(x) is int for arc in net.arcs for x in arc)
+    instance = _with_costs({(np.int64(1), np.int16(0)): 2.5})
+    assert instance.sensing_cost.tolist() == [[np.inf, np.inf], [2.5, np.inf]]
 
 
 def test_weighted_digraph_cost_is_any_real_but_bool():
@@ -417,6 +448,22 @@ link_costs = st.one_of(
 )
 
 
+def indices(upper: int):
+    """What a library caller may pass as an index below ``upper``; the
+    constructors refuse all but the in-range integers."""
+    return st.one_of(
+        st.integers(0, upper - 1),
+        st.integers(-1, upper),
+        st.integers(0, upper - 1).map(np.int64),
+        st.integers(0, upper - 1).map(np.uint8),
+        st.sampled_from([0.0, 0.5, np.float64(1.0), True, False, np.True_, "0", None]),
+    )
+
+
+def index_pairs(rows: int, cols: int):
+    return st.tuples(indices(rows), indices(cols))
+
+
 def _writes_as_reference(instance: ProblemInstance) -> None:
     text = serialize_instance(instance)
     assert text == reference_instance_json(instance)
@@ -428,14 +475,15 @@ def _writes_as_reference(instance: ProblemInstance) -> None:
 def test_every_accepted_instance_roundtrips_byte_for_byte(data):
     n = data.draw(st.integers(1, 5))
     m = data.draw(st.integers(1, 4))
-    cells = st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
-    table = data.draw(st.lists(
-        st.lists(st.one_of(costs, st.just(np.inf)), min_size=n, max_size=n),
-        min_size=m, max_size=m,
-    ))
-    arcs = data.draw(st.dictionaries(
-        st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), link_costs, max_size=6
-    ))
+    cells = st.sets(index_pairs(n, n), max_size=6)
+    if data.draw(st.booleans()):
+        sensing = np.array(data.draw(st.lists(
+            st.lists(st.one_of(costs, st.just(np.inf)), min_size=n, max_size=n),
+            min_size=m, max_size=m,
+        )))
+    else:
+        sensing = data.draw(st.dictionaries(index_pairs(m, n), costs, max_size=6))
+    arcs = data.draw(st.dictionaries(index_pairs(m, m), link_costs, max_size=6))
     undirected = data.draw(st.booleans())
     if undirected:
         arcs.update({(v, u): cost for (u, v), cost in arcs.items()})
@@ -444,12 +492,15 @@ def test_every_accepted_instance_roundtrips_byte_for_byte(data):
             n=n,
             m=m,
             system_pattern=StructuredMatrix(n, n, frozenset(data.draw(cells))),
-            sensing_cost=np.array(table),
+            sensing_cost=sensing,
             network=WeightedDigraph(m, arcs),
             network_undirected=undirected,
         )
-    except ValidationError:
+    except ObsnetError:
         return
+    stored = [*instance.system_pattern.nonzeros, *instance.network.arcs]
+    assert all(type(x) is int for pair in stored for x in pair)
+    assert all(type(cost) is float for cost in instance.network.arcs.values())
     _writes_as_reference(instance)
 
 

@@ -6,6 +6,7 @@ import pytest
 from obsnet import (
     GuardError,
     InfeasibleError,
+    ShapeError,
     ValidationError,
     WeightedDigraph,
     arcs_strongly_connected,
@@ -206,6 +207,17 @@ def test_msss_three_cycle():
     assert design.total_cost == 3.0
     assert design.gap_bound == 1.0
     assert design.optimality == "two_approx"
+
+
+def test_msss_root_range_is_checked_at_one_sensor():
+    single = WeightedDigraph(1, {})
+    for solve in (msss_2approx, lambda net, root: min_branching(net, root, "out")):
+        with pytest.raises(ShapeError) as info:
+            solve(single, 5)
+        assert str(info.value) == "root 5 out of range for 1 sensors"
+    for design in (msss_2approx(single, 0), msss_best_root(single)):
+        assert (design.selected_arcs, design.total_cost, design.root) == (frozenset(), 0.0, None)
+        assert design.optimality == "exact"
 
 
 def test_msss_two_nodes_forced():

@@ -12,6 +12,7 @@ from obsnet import (
     InfeasibleError,
     ProblemInstance,
     StructuredMatrix,
+    ValidationError,
     WeightedDigraph,
     build_parent_cost_matrix,
     generate_instance,
@@ -20,6 +21,7 @@ from obsnet import (
     scc_decompose,
     solve_lsap,
 )
+from obsnet.graphs import DesignResult
 from obsnet.sensing import brute_force_assignment
 from oracles import parent_costs_by_scan
 
@@ -247,9 +249,14 @@ def test_recover_measurement_structure():
     )
     h = recover_measurement_structure(assignment, n=4)
     assert h.nonzeros == frozenset({(0, 3), (1, 0)})
+    # a state measured twice is the design's column rule to refuse
     clash = SensorAssignment(assignment=(0, 1), measured_state=(2, 2), total_cost=2.0)
-    with pytest.raises(InfeasibleError):
-        recover_measurement_structure(clash, n=4)
+    h = recover_measurement_structure(clash, n=4)
+    assert h.nonzeros == frozenset({(0, 2), (1, 2)})
+    w = StructuredMatrix(2, 2, frozenset({(0, 1), (1, 0)}))
+    with pytest.raises(ValidationError) as info:
+        DesignResult(h, w, 2.0, 2.0, "exact")
+    assert str(info.value) == "measurement pattern must have at most one nonzero per column"
 
 
 def test_cost_monotonicity_under_cheaper_entries():

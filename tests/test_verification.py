@@ -20,6 +20,7 @@ from obsnet import (
 from oracles import (
     build_measurement_gram,
     exact_observability_rank,
+    growing_basis_rank,
     observability_matrix_rank,
 )
 
@@ -172,6 +173,25 @@ def test_kalman_matches_explicit_observability_matrix():
         ok, rank = kalman_rank_observable(a, c)
         assert rank == exact_observability_rank(a, c)
         assert ok == (rank == n)
+
+
+def test_kalman_rank_matches_a_growing_basis():
+    # tiny tolerances count rounding noise, so a step can bring more fresh
+    # rows than the basis has room for; the count is still the grown one
+    rng = np.random.default_rng(23)
+    overshoots = 0
+    for _ in range(150):
+        n = int(rng.integers(1, 9))
+        a = rng.standard_normal((n, n)) * 10.0 ** int(rng.integers(-100, 100))
+        if rng.random() < 0.5:
+            a[:, int(rng.integers(n))] = 0.0
+        c = rng.standard_normal((int(rng.integers(1, 4)), n))
+        tol = float(rng.choice([1e-300, 1e-20, 1e-8, 1e-3, 0.5]))
+        ok, rank = kalman_rank_observable(a, c, tol)
+        assert rank == growing_basis_rank(a, c, tol)
+        assert ok == (rank == n)
+        overshoots += rank > n
+    assert overshoots > 0
 
 
 def test_kalman_rank_monotone_in_measurements():
