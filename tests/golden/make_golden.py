@@ -2,10 +2,12 @@
 
 Each case is an instance, either generated or built by hand through the
 ``ProblemInstance`` constructor. For each one the corpus stores the
-``serialize_instance`` bytes, the design JSON over all roots (and with
-root 0 for a directed network), the verify report of the all-roots design
-with 3 trials, and, where a stage raises, the CLI error kind and message.
-The design and verify stages run on the parsed instance, as the CLI does.
+``serialize_instance`` bytes, the design JSON over all roots (and, for a
+directed network, with root 0 and from the exact search), the verify
+report of the all-roots design with 3 trials, and, where a stage raises,
+the CLI error kind and message. The design and verify stages run on the
+parsed instance, as the CLI does. The ``oracle`` subcommand runs on the
+instance bytes; its exit code, stdout and stderr are stored as printed.
 
 ``tests/test_golden.py`` recomputes every case and compares the bytes.
 Rewrite the corpus only for an intended change of output:
@@ -15,7 +17,11 @@ Rewrite the corpus only for an intended change of output:
 
 from __future__ import annotations
 
+import argparse
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from obsnet import (
@@ -30,7 +36,7 @@ from obsnet import (
     serialize_instance,
     verify_design_numeric,
 )
-from obsnet.cli import _error_kind
+from obsnet.cli import _error_kind, _print_error, cmd_oracle
 
 CORPUS = Path(__file__).with_name("corpus.json")
 TRIALS = 3
@@ -40,9 +46,11 @@ def _error(exc: ObsnetError) -> dict:
     return {"kind": _error_kind(exc), "message": str(exc)}
 
 
-def _design(instance: ProblemInstance, root: int | None, verify: bool) -> dict:
+def _design(
+    instance: ProblemInstance, root: int | None, verify: bool, exact: bool = False
+) -> dict:
     try:
-        design = design_instance(instance, root=root)
+        design = design_instance(instance, root=root, exact=exact)
     except ObsnetError as exc:
         return {"error": _error(exc)}
     out = {"design": serialize_design(design)}
@@ -55,13 +63,33 @@ def _design(instance: ProblemInstance, root: int | None, verify: bool) -> dict:
     return out
 
 
+def _oracle(text: str) -> dict:
+    """``obsnet oracle`` on the instance document, as the shell sees it;
+    the subcommand is called as ``cli.run`` calls it, less the parser."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+        path = Path(tmp) / "instance.json"
+        path.write_text(text, encoding="utf-8")
+        try:
+            code = cmd_oracle(argparse.Namespace(input=str(path)))
+        except ObsnetError as exc:
+            _print_error(exc)
+            code = exc.exit_code
+    return {"exit_code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
 def render(instance: ProblemInstance) -> dict:
     """Every pinned output of one case."""
     text = serialize_instance(instance)
     parsed = parse_instance(text)
-    out = {"instance": text, "all_roots": _design(parsed, None, verify=True)}
+    out = {
+        "instance": text,
+        "all_roots": _design(parsed, None, verify=True),
+        "oracle": _oracle(text),
+    }
     if not parsed.network_undirected:
         out["root_0"] = _design(parsed, 0, verify=False)
+        out["exact"] = _design(parsed, None, verify=False, exact=True)
     return out
 
 
@@ -200,6 +228,10 @@ def _handmade() -> dict[str, ProblemInstance]:
         "hand-network-not-strongly-connected": _instance(
             4, 2, two_parents, {(i, j): 1.0 for i in range(2) for j in range(4)},
             {(0, 1): 1.0}),
+        "hand-exact-guard": _instance(
+            6, 6, set().union(*(_cycle([i]) for i in range(6))),
+            {(i, i): 1.0 for i in range(6)},
+            {(u, v): float(1 + (u + v) % 2) for u in range(6) for v in range(6) if u != v}),
         "hand-undirected-path": _instance(
             6, 3, three_parents, full,
             _both_ways({(0, 1): 3.0, (1, 2): 1.0, (0, 2): 3.0}), undirected=True),
