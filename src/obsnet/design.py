@@ -46,8 +46,6 @@ def solve_network(
 ) -> NetworkDesign:
     """The networking half: a 0-based ``root`` fixes the branching root,
     ``exact`` asks for the brute-force optimum of a directed network."""
-    if instance.m == 1:
-        return NetworkDesign(frozenset(), 0.0, "mst", None, 0.0)
     if instance.network_undirected:
         return mst_solve(instance.network)
     if exact:

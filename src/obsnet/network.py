@@ -85,9 +85,6 @@ def mst_solve(net: WeightedDigraph) -> NetworkDesign:
             " present in both directions with equal cost"
         )
     m = net.node_count
-    if m == 1:
-        return NetworkDesign(frozenset(), 0.0, "mst", None, 0.0, tree_cost=0.0)
-
     neighbors: list[list[tuple[float, int]]] = [[] for _ in range(m)]
     for (u, v), cost in sorted(net.arcs.items()):
         neighbors[u].append((cost, v))
@@ -397,9 +394,6 @@ def brute_force_mst(net: WeightedDigraph) -> NetworkDesign:
         raise GuardError(
             f"brute-force tree guard: {len(edges)} edges exceed {BRUTE_FORCE_MAX_ARCS}"
         )
-    if m == 1:
-        return NetworkDesign(frozenset(), 0.0, "brute-force", None, 0.0, tree_cost=0.0)
-
     best_cost = float("inf")
     best_tree: tuple[Arc, ...] | None = None
     for combo in itertools.combinations(edges, m - 1):

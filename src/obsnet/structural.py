@@ -6,7 +6,9 @@ condensation are the sinks, called parent components here. For a
 structurally full-rank system pattern, structural observability holds
 exactly when every parent component contains at least one measured state,
 and the distributed variant additionally needs one sensor per parent
-component with a strongly connected sensor network.
+component with a strongly connected sensor network. One Tarjan search
+answers both: it finds the components, and a network is strongly
+connected when it has at most one.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ class SccPartition:
     components: tuple[tuple[int, ...], ...]
     kinds: tuple[str, ...]
     condensation: frozenset[tuple[int, int]]
-    component_of: tuple[int, ...]
 
     def parent_components(self) -> list[tuple[int, ...]]:
         return [c for c, kind in zip(self.components, self.kinds) if kind == PARENT]
@@ -76,8 +77,7 @@ def _row_lists(pattern: StructuredMatrix) -> list[list[int]]:
 def _tarjan_components(adj: list[list[int]]) -> list[list[int]]:
     """Tarjan's SCC algorithm with an explicit stack (no recursion limit)."""
     n = len(adj)
-    UNVISITED = -1
-    index = [UNVISITED] * n
+    index = [-1] * n  # -1: unvisited
     lowlink = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
@@ -85,41 +85,38 @@ def _tarjan_components(adj: list[list[int]]) -> list[list[int]]:
     components: list[list[int]] = []
 
     for start in range(n):
-        if index[start] != UNVISITED:
+        if index[start] >= 0:
             continue
-        # Each work item is (node, iterator position into adj[node]).
-        work = [(start, 0)]
+        work = [(start, iter(adj[start]))]  # the DFS path, each node's arcs left
+        index[start] = lowlink[start] = next_index
+        next_index += 1
+        stack.append(start)
+        on_stack[start] = True
         while work:
-            v, pos = work.pop()
-            if pos == 0:
-                index[v] = lowlink[v] = next_index
-                next_index += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pos, len(adj[v])):
-                w = adj[v][k]
-                if index[w] == UNVISITED:
-                    work.append((v, k + 1))
-                    work.append((w, 0))
-                    advanced = True
+            v, arcs = work[-1]
+            for w in arcs:
+                if index[w] < 0:
+                    index[w] = lowlink[w] = next_index
+                    next_index += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(adj[w])))
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if on_stack[w] and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
+            else:  # every arc of v is done
+                work.pop()
+                if lowlink[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(comp)
+                if work and lowlink[v] < lowlink[work[-1][0]]:
+                    lowlink[work[-1][0]] = lowlink[v]
     return components
 
 
@@ -151,33 +148,17 @@ def scc_decompose(pattern: StructuredMatrix) -> SccPartition:
         components=components,
         kinds=kinds,
         condensation=frozenset(condensation),
-        component_of=tuple(component_of),
     )
 
 
 def arcs_strongly_connected(node_count: int, arcs: Iterable[tuple[int, int]]) -> bool:
-    """True iff the arcs on nodes 0..node_count-1 form one SCC: node 0
-    reaches every node along the arcs and against them. This search is the
-    strong-connectivity test of the whole package, the network solvers'
-    included."""
-    if node_count <= 1:
-        return True
-    along: list[list[int]] = [[] for _ in range(node_count)]
-    against: list[list[int]] = [[] for _ in range(node_count)]
+    """True iff the arcs on nodes 0..node_count-1 form at most one SCC, by
+    the same Tarjan search as ``scc_decompose``; the strong-connectivity
+    test of the whole package, the network solvers' included."""
+    adj: list[list[int]] = [[] for _ in range(node_count)]
     for (u, v) in arcs:
-        along[u].append(v)
-        against[v].append(u)
-    for adj in (along, against):
-        seen = [True] + [False] * (node_count - 1)
-        stack = [0]
-        while stack:
-            for v in adj[stack.pop()]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        if not all(seen):
-            return False
-    return True
+        adj[u].append(v)
+    return len(_tarjan_components(adj)) <= 1
 
 
 def max_bipartite_matching(adjacency: list[list[int]], n_right: int) -> dict[int, int]:

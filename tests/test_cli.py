@@ -218,6 +218,9 @@ def test_oracle_single_sensor_costs_nothing(tmp_path, capsys):
         assert run(["oracle", "--in", str(path)]) == 0
         out = capsys.readouterr().out
         assert '"brute_force_cost": 0.0' in out and '"gap": 0.0' in out
+        # the method of the solver that ran
+        method = "mst" if undirected else "branching-union"
+        assert json.loads(out)["networking"]["method"] == method
 
 
 def test_export_dot(tmp_path, capsys):

@@ -31,7 +31,6 @@ def test_scc_known_graph():
     assert partition.components == ((0, 1), (2, 3))
     assert partition.kinds == ("child", "parent")
     assert partition.condensation == frozenset({(0, 1)})
-    assert partition.component_of == (0, 0, 1, 1)
 
 
 def test_scc_singletons_and_self_loops():
@@ -73,18 +72,28 @@ def test_is_strongly_connected():
     assert not arcs_strongly_connected(4, frozenset({(0, 1), (1, 2), (2, 3)}))
 
 
-def test_is_strongly_connected_equals_single_scc():
+def test_components_and_strong_connectivity_match_scipy():
+    # scipy's strong components as the independent oracle, on 0 to 9 nodes
+    # with isolated nodes, self-loops and repeated arcs
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
     rng = np.random.default_rng(17)
-    for _ in range(100):
-        n = int(rng.integers(1, 8))
-        edges = {
-            (int(u), int(v))
-            for u in range(n)
-            for v in range(n)
-            if u != v and rng.random() < 0.3
-        }
-        partition = scc_decompose(StructuredMatrix(n, n, {(v, u) for (u, v) in edges}))
-        assert arcs_strongly_connected(n, edges) == (len(partition.components) == 1)
+    for trial in range(300):
+        n = trial % 10
+        k = int(rng.integers(0, 3 * n + 1))
+        arcs = [(int(u), int(v)) for u, v in rng.integers(0, max(n, 1), size=(k, 2))]
+        graph = sparse.csr_matrix(
+            (np.ones(k), ([u for u, _ in arcs], [v for _, v in arcs])), shape=(n, n)
+        )
+        count, label = csgraph.connected_components(graph, directed=True, connection="strong")
+        assert arcs_strongly_connected(n, arcs) == (count <= 1)
+        members = [tuple(np.flatnonzero(label == c).tolist()) for c in range(count)]
+        leaving = {label[u] for (u, v) in arcs if label[u] != label[v]}
+        expected = sorted(
+            (comp, "child" if c in leaving else "parent") for c, comp in enumerate(members)
+        )
+        partition = scc_decompose(StructuredMatrix(n, n, {(v, u) for (u, v) in arcs}))
+        assert list(zip(partition.components, partition.kinds)) == expected
 
 
 def test_max_bipartite_matching_hand_cases():
