@@ -45,13 +45,22 @@ def _index_pairs(pairs, rows: int, cols: int, what: str, owner: str) -> list | N
     0 <= j < cols. Returns the pairs as plain ints if any index was a numpy
     integer, else None, as plain ints need no copy."""
     numpy_ints = False
-    for (i, j) in pairs:
-        if type(i) is not int or type(j) is not int:  # plain ints skip the slow check
-            if not all(isinstance(x, numbers.Integral) and type(x) is not bool for x in (i, j)):
-                raise ValidationError(f"{what} ({i!r}, {j!r}) must have integer indices")
-            numpy_ints = True
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise ValidationError(f"{what} ({i}, {j}) out of range for {rows}x{cols} {owner}")
+    try:
+        for (i, j) in pairs:
+            if type(i) is not int or type(j) is not int:  # plain ints skip the slow check
+                if not all(isinstance(x, numbers.Integral) and type(x) is not bool
+                           for x in (i, j)):
+                    raise ValidationError(f"{what} ({i!r}, {j!r}) must have integer indices")
+                numpy_ints = True
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValidationError(f"{what} ({i}, {j}) out of range for {rows}x{cols} {owner}")
+    except (TypeError, ValueError):  # some key does not unpack into two
+        for key in pairs:
+            try:
+                i, j = key
+            except (TypeError, ValueError):
+                raise ValidationError(f"{what} {key!r} is not an index pair") from None
+        raise
     return [(int(i), int(j)) for (i, j) in pairs] if numpy_ints else None
 
 
