@@ -40,9 +40,9 @@ __all__ = [
 
 
 def _index_pairs(pairs, rows: int, cols: int, what: str, owner: str) -> list | None:
-    """The index rule of patterns, arcs and sensing-cost keys: each (i, j)
-    in ``pairs`` holds two integers, bools excluded, with 0 <= i < rows and
-    0 <= j < cols. Returns the pairs as plain ints if any index was a numpy
+    """The index rule of patterns, arcs and sensing-cost keys: each key in
+    ``pairs`` is a pair (i, j) of integers, bools excluded, with 0 <= i < rows
+    and 0 <= j < cols. Returns the pairs as plain ints if any index was a numpy
     integer, else None, as plain ints need no copy."""
     numpy_ints = False
     try:

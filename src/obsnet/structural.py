@@ -152,9 +152,9 @@ def scc_decompose(pattern: StructuredMatrix) -> SccPartition:
 
 
 def arcs_strongly_connected(node_count: int, arcs: Iterable[tuple[int, int]]) -> bool:
-    """True iff the arcs on nodes 0..node_count-1 form at most one SCC, by
-    the same Tarjan search as ``scc_decompose``; the strong-connectivity
-    test of the whole package, the network solvers' included."""
+    """True iff the arcs leave nodes 0..node_count-1 in at most one SCC, as
+    counted by the Tarjan search ``scc_decompose`` runs. This is the
+    strong-connectivity test of the whole package, the solvers' included."""
     adj: list[list[int]] = [[] for _ in range(node_count)]
     for (u, v) in arcs:
         adj[u].append(v)
