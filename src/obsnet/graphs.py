@@ -41,9 +41,12 @@ __all__ = [
 
 def _index_pairs(pairs, rows: int, cols: int, what: str, owner: str) -> list | None:
     """The index rule of patterns, arcs and sensing-cost keys: each key in
-    ``pairs`` is a pair (i, j) of integers, bools excluded, with 0 <= i < rows
+    ``pairs`` is a tuple (i, j) of integers, bools excluded, with 0 <= i < rows
     and 0 <= j < cols. Returns the pairs as plain ints if any index was a numpy
     integer, else None, as plain ints need no copy."""
+    if not set(map(type, pairs)) <= {tuple}:  # one set build, not a check per key
+        key = next(k for k in pairs if type(k) is not tuple)
+        raise ValidationError(f"{what} {key!r} is not an index pair")
     numpy_ints = False
     try:
         for (i, j) in pairs:
@@ -54,14 +57,66 @@ def _index_pairs(pairs, rows: int, cols: int, what: str, owner: str) -> list | N
                 numpy_ints = True
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValidationError(f"{what} ({i}, {j}) out of range for {rows}x{cols} {owner}")
-    except (TypeError, ValueError):  # some key does not unpack into two
+    except ValueError:  # some tuple does not hold two
         for key in pairs:
-            try:
-                i, j = key
-            except (TypeError, ValueError):
+            if len(key) != 2:
                 raise ValidationError(f"{what} {key!r} is not an index pair") from None
         raise
     return [(int(i), int(j)) for (i, j) in pairs] if numpy_ints else None
+
+
+def _bulk_pairs(pairs, kind: type, rows: int, cols: int, base: int) -> tuple | None:
+    """``_bulk_cells`` of a collection of pairs, each a ``kind`` (tuple or
+    list) of two indices; None also when some item is not such a pair."""
+    if not set(map(type, pairs)) <= {kind}:
+        return None
+    try:
+        first = _int_column([i for i, _ in pairs], base)
+        second = _int_column([j for _, j in pairs], base)
+    except ValueError:  # an item of other than two
+        return None
+    return _bulk_cells(first, second, rows, cols)
+
+
+def _int_column(values: list, base: int) -> np.ndarray | None:
+    """``values`` counted from ``base`` as a 0-based int64 array when each is
+    a plain int (bools excluded) that fits; else None. The caller's list can
+    go as soon as this returns."""
+    if not set(map(type, values)) <= {int}:
+        return None
+    try:
+        column = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
+    column -= base
+    return column
+
+
+def _bulk_cells(first, second, rows: int, cols: int) -> tuple | None:
+    """The index rule on two ``_int_column`` results, the row and column
+    indices of some cells: the pair when neither is None, every cell lies in
+    the rows x cols grid and no cell repeats; else None, so that a per-entry
+    path names the first error."""
+    if first is None or second is None:
+        return None
+    try:
+        keys = np.ravel_multi_index((first, second), (rows, cols))
+    except ValueError:  # out of the grid, or a grid past int64
+        return None
+    keys.sort()
+    return None if (keys[1:] == keys[:-1]).any() else (first, second)
+
+
+def _bulk_costs(values) -> np.ndarray | None:
+    """The cost rule checked as one column: ``values`` as a float64 array when
+    each is a plain int or float, finite and >= 0 as a float; else None."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        costs = np.fromiter(values, np.float64, len(values))
+    except OverflowError:  # an int past float range
+        return None
+    return costs if ((costs >= 0) & (costs < np.inf)).all() else None
 
 
 def _cost_value(cost, what: str, i: int, j: int) -> float:
@@ -69,8 +124,12 @@ def _cost_value(cost, what: str, i: int, j: int) -> float:
     real number, bools excluded, finite and >= 0; ``what % (i, j)`` names
     the cost in an error, formatted only then."""
     real = type(cost) is float or (isinstance(cost, numbers.Real) and not isinstance(cost, bool))
-    if real and math.isfinite(cost) and cost >= 0:
-        return float(cost)
+    try:
+        if real and math.isfinite(cost) and cost >= 0:
+            return float(cost)
+    except OverflowError:  # an int past float range
+        raise ValidationError(f"{what % (i, j)} must fit a float, got an integer of"
+                              f" {len(str(abs(cost)))} digits") from None
     rule = f"finite and >= 0, got {cost}" if real else f"a real number, got {cost!r}"
     raise ValidationError(f"{what % (i, j)} must be {rule}")
 
@@ -139,8 +198,14 @@ def _cost_table(costs, m: int, n: int) -> np.ndarray:
     """Read-only (m, n) copy of the sensing costs, inf where forbidden."""
     if isinstance(costs, Mapping):
         table = np.full((m, n), np.inf)
-        _index_pairs(costs, m, n, "sensing cost entry", "table")  # numpy ints index as well
-        entries = costs.items()
+        cells = _bulk_pairs(costs, tuple, m, n, 0)
+        values = None if cells is None else _bulk_costs(costs.values())
+        if values is not None:
+            table[cells] = values
+            entries = ()
+        else:  # per entry, to name the first bad key or cost
+            _index_pairs(costs, m, n, "sensing cost entry", "table")  # numpy ints index as well
+            entries = costs.items()
     else:
         try:
             table = np.array(costs)
@@ -272,7 +337,11 @@ def _require(doc: Mapping, key: str, kind, path: str):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(f"{path}.{key}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValidationError(f"{path}.{key}: must fit a float, got an integer of"
+                                  f" {len(str(abs(value)))} digits") from None
     if kind is int and isinstance(value, bool):
         raise ValidationError(f"{path}.{key}: expected {kind.__name__}, got {value!r}")
     if not isinstance(value, kind):
@@ -293,15 +362,30 @@ def _load(text: str, what: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{what} document is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # too many digits, or nested too deep
+        raise ValidationError(f"{what} document cannot be read: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} document must be a JSON object")
     return doc
 
 
+# Patterns and sensing costs are checked by whole columns (_bulk_cells,
+# _bulk_costs). Only when a column check fails are they read again entry by
+# entry, which names the first bad entry in document order.
+
+
 def _pattern(doc: Mapping, key: str, rows: int, cols: int, path: str) -> StructuredMatrix:
     """The rows x cols pattern stored under ``key`` as 1-based [row, col] pairs."""
+    pairs = _require(doc, key, list, path)
+    cells = _bulk_pairs(pairs, list, rows, cols, 1)
+    if cells is None:
+        return StructuredMatrix(rows, cols, _pattern_by_entry(pairs, key, rows, cols))
+    return StructuredMatrix(rows, cols, frozenset(zip(cells[0].tolist(), cells[1].tolist())))
+
+
+def _pattern_by_entry(pairs: list, key: str, rows: int, cols: int) -> frozenset:
     nonzeros = set()
-    for k, pair in enumerate(_require(doc, key, list, path)):
+    for k, pair in enumerate(pairs):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ValidationError(f"{key}[{k}]: expected a [row, col] pair, got {pair!r}")
         i = _index(pair[0], rows, f"{key}[{k}][0]")
@@ -309,7 +393,42 @@ def _pattern(doc: Mapping, key: str, rows: int, cols: int, path: str) -> Structu
         if (i, j) in nonzeros:
             raise ValidationError(f"{key}[{k}]: duplicate nonzero ({pair[0]}, {pair[1]})")
         nonzeros.add((i, j))
-    return StructuredMatrix(rows, cols, frozenset(nonzeros))
+    return frozenset(nonzeros)
+
+
+def _sensing_costs(entries: list, m: int, n: int) -> np.ndarray:
+    """The (m, n) sensing-cost table of the ``c`` entries, inf where absent."""
+    costs = None
+    if set(map(type, entries)) <= {dict}:
+        try:
+            sensors = _int_column([e["sensor"] for e in entries], 1)
+            states = _int_column([e["state"] for e in entries], 1)
+            cells = _bulk_cells(sensors, states, m, n)
+            if cells is not None:
+                costs = _bulk_costs([e["cost"] for e in entries])
+        except KeyError:
+            pass
+    if costs is None:
+        return _sensing_costs_by_entry(entries, m, n)
+    table = np.full((m, n), np.inf)
+    table[cells] = costs
+    return table
+
+
+def _sensing_costs_by_entry(entries: list, m: int, n: int) -> np.ndarray:
+    table = np.full((m, n), np.inf)
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"c[{k}]: expected an object, got {entry!r}")
+        i = _index(entry.get("sensor"), m, f"c[{k}].sensor")
+        j = _index(entry.get("state"), n, f"c[{k}].state")
+        cost = _require(entry, "cost", float, f"c[{k}]")
+        if not math.isfinite(cost) or cost < 0:
+            raise ValidationError(f"c[{k}].cost: must be finite and >= 0, got {cost}")
+        if table[i, j] != np.inf:
+            raise ValidationError(f"c[{k}]: duplicate entry for sensor {i + 1}, state {j + 1}")
+        table[i, j] = cost
+    return table
 
 
 def canonical_json(doc: Mapping) -> str:
@@ -346,19 +465,7 @@ def parse_instance(text: str) -> ProblemInstance:
 
     system_pattern = _pattern(doc, "A", n, n, "instance")
 
-    c_entries = _require(doc, "c", list, "instance")
-    sensing_cost = np.full((m, n), np.inf)
-    for k, entry in enumerate(c_entries):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"c[{k}]: expected an object, got {entry!r}")
-        i = _index(entry.get("sensor"), m, f"c[{k}].sensor")
-        j = _index(entry.get("state"), n, f"c[{k}].state")
-        cost = _require(entry, "cost", float, f"c[{k}]")
-        if not math.isfinite(cost) or cost < 0:
-            raise ValidationError(f"c[{k}].cost: must be finite and >= 0, got {cost}")
-        if sensing_cost[i, j] != np.inf:
-            raise ValidationError(f"c[{k}]: duplicate entry for sensor {i + 1}, state {j + 1}")
-        sensing_cost[i, j] = cost
+    sensing_cost = _sensing_costs(_require(doc, "c", list, "instance"), m, n)
 
     net_doc = _require(doc, "net", dict, "instance")
     undirected = _require(net_doc, "undirected", bool, "net")

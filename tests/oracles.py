@@ -8,7 +8,9 @@ trusted. ``reference_branching`` is the recursive per-root Edmonds search
 the library once ran, kept unchanged as the tie-break reference;
 ``reference_instance_json`` and ``reference_design_json`` are the document
 writers it once ran, a dict through ``json.dumps``, kept as the byte
-reference for the direct writers.
+reference for the direct writers; ``reference_parse_instance`` is the
+instance reader it once ran, one entry at a time, kept as the reference for
+the column-checked reader, down to the first error and its message.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from obsnet import ProblemInstance, ValidationError, WeightedDigraph
+from obsnet import ProblemInstance, StructuredMatrix, ValidationError, WeightedDigraph
 from obsnet.graphs import DesignResult
 
 
@@ -417,3 +419,103 @@ def reference_design_json(result: DesignResult) -> str:
         "network_optimality": result.network_optimality,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _require(doc, key: str, kind, path: str):
+    if key not in doc:
+        raise ValidationError(f"{path}: missing required field '{key}'")
+    value = doc[key]
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValidationError(f"{path}.{key}: expected a number, got {value!r}")
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValidationError(f"{path}.{key}: must fit a float, got an integer of"
+                                  f" {len(str(abs(value)))} digits") from None
+    if isinstance(value, bool) and kind is int or not isinstance(value, kind):
+        raise ValidationError(f"{path}.{key}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _index(value, upper: int, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{path}: expected an integer index, got {value!r}")
+    if not (1 <= value <= upper):
+        raise ValidationError(f"{path}: index {value} out of range 1..{upper}")
+    return value - 1
+
+
+def reference_parse_instance(text: str) -> ProblemInstance:
+    """The instance document read one entry at a time, every check in
+    document order."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"instance document is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"instance document cannot be read: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError("instance document must be a JSON object")
+    n = _require(doc, "n", int, "instance")
+    m = _require(doc, "m", int, "instance")
+    if n < 1 or m < 1:
+        raise ValidationError(f"instance: need n >= 1 and m >= 1, got n={n}, m={m}")
+
+    nonzeros = set()
+    for k, pair in enumerate(_require(doc, "A", list, "instance")):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValidationError(f"A[{k}]: expected a [row, col] pair, got {pair!r}")
+        i = _index(pair[0], n, f"A[{k}][0]")
+        j = _index(pair[1], n, f"A[{k}][1]")
+        if (i, j) in nonzeros:
+            raise ValidationError(f"A[{k}]: duplicate nonzero ({pair[0]}, {pair[1]})")
+        nonzeros.add((i, j))
+
+    sensing_cost = np.full((m, n), np.inf)
+    for k, entry in enumerate(_require(doc, "c", list, "instance")):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"c[{k}]: expected an object, got {entry!r}")
+        i = _index(entry.get("sensor"), m, f"c[{k}].sensor")
+        j = _index(entry.get("state"), n, f"c[{k}].state")
+        cost = _require(entry, "cost", float, f"c[{k}]")
+        if not math.isfinite(cost) or cost < 0:
+            raise ValidationError(f"c[{k}].cost: must be finite and >= 0, got {cost}")
+        if sensing_cost[i, j] != np.inf:
+            raise ValidationError(f"c[{k}]: duplicate entry for sensor {i + 1}, state {j + 1}")
+        sensing_cost[i, j] = cost
+
+    net_doc = _require(doc, "net", dict, "instance")
+    undirected = _require(net_doc, "undirected", bool, "net")
+    arcs = {}
+    for k, link in enumerate(_require(net_doc, "links", list, "net")):
+        if not isinstance(link, dict):
+            raise ValidationError(f"net.links[{k}]: expected an object, got {link!r}")
+        u = _index(link.get("from"), m, f"net.links[{k}].from")
+        v = _index(link.get("to"), m, f"net.links[{k}].to")
+        cost = _require(link, "cost", float, f"net.links[{k}]")
+        if not math.isfinite(cost) or cost < 0:
+            raise ValidationError(f"net.links[{k}].cost: must be finite and >= 0, got {cost}")
+        if u == v:
+            raise ValidationError(f"net.links[{k}]: self-link {u + 1} -> {u + 1} is not allowed")
+        if (u, v) in arcs:
+            raise ValidationError(f"net.links[{k}]: duplicate link {u + 1} -> {v + 1}")
+        arcs[(u, v)] = cost
+    if undirected:
+        for (u, v), cost in arcs.items():
+            back = arcs.get((v, u))
+            if back is None:
+                raise ValidationError(f"net: undirected flag set but link {u + 1} -> {v + 1}"
+                                      f" has no reverse link {v + 1} -> {u + 1}")
+            if back != cost:
+                raise ValidationError(f"net: undirected flag set but links {u + 1} <-> {v + 1}"
+                                      f" have unequal costs {cost} and {back}")
+
+    return ProblemInstance(
+        n=n,
+        m=m,
+        system_pattern=StructuredMatrix(n, n, frozenset(nonzeros)),
+        sensing_cost=sensing_cost,
+        network=WeightedDigraph(m, arcs),
+        network_undirected=undirected,
+    )

@@ -96,8 +96,9 @@ def test_arcs_and_sensing_keys_take_the_pattern_index_rule():
     with pytest.raises(ValidationError) as info:
         _with_costs({(2, 0): 1.0})
     assert str(info.value) == "sensing cost entry (2, 0) out of range for 2x2 table"
-    # a key that does not unpack into two raised a bare TypeError or ValueError
-    for key in (5, (1, 2, 3), (0,), "abc"):
+    # a key that does not unpack into two raised a bare TypeError or ValueError;
+    # a range or frozenset that did got in, and broke the solvers later
+    for key in (5, (1, 2, 3), (0,), "abc", range(2), frozenset({0, 1})):
         with pytest.raises(ValidationError) as info:
             WeightedDigraph(2, {(0, 1): 1.0, key: 1.0})
         assert str(info.value) == f"arc {key!r} is not an index pair"
@@ -123,6 +124,15 @@ def test_weighted_digraph_cost_is_any_real_but_bool():
             WeightedDigraph(2, {(0, 1): bad})
     with pytest.raises(ValidationError, match="cost must be finite and >= 0, got -3"):
         WeightedDigraph(2, {(0, 1): np.int64(-3)})
+    # an int past float range raised a bare OverflowError
+    with pytest.raises(ValidationError) as info:
+        WeightedDigraph(2, {(0, 1): 10**400})
+    assert str(info.value) == "arc (0, 1) cost must fit a float, got an integer of 401 digits"
+    with pytest.raises(ValidationError) as info:
+        _with_costs({(0, 0): 1.0, (1, 1): -10**400})
+    assert str(info.value) == (
+        "sensing cost for sensor 2, state 2 must fit a float, got an integer of 401 digits"
+    )
 
 
 def test_instance_roundtrip_exact():

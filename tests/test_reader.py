@@ -1,0 +1,212 @@
+"""The instance reader checks its A and c lists by whole columns and reads
+them again entry by entry only to name an error. Against the reference
+reader, which reads every entry in turn: the same instance from a valid
+document, and the same exception and message from a broken one."""
+
+import json
+import math
+import sys
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from obsnet import ObsnetError, ValidationError, generate_instance, graphs, serialize_instance
+from obsnet.cli import run
+from oracles import reference_parse_instance
+
+# costs a document may hold: -0.0 keeps its sign, and ints past 2**53 round
+COSTS = st.one_of(
+    st.floats(0.0, 1e300),
+    st.integers(0, 10**6),
+    st.sampled_from([-0.0, 0.0, 0, 5e-324, 2**53 + 1, 2**63, 2**64]),
+)
+
+
+@st.composite
+def documents(draw):
+    """A valid instance document, its lists in no particular order."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 4))
+
+    def cells(rows, cols, max_size):
+        return st.lists(st.tuples(st.integers(1, rows), st.integers(1, cols)),
+                        unique=True, max_size=max_size)
+
+    links = {}
+    for u, v in draw(cells(m, m, 6)):
+        if u != v:
+            links[(u, v)] = draw(COSTS)
+    undirected = draw(st.booleans())
+    if undirected:
+        links.update({(v, u): cost for (u, v), cost in list(links.items())})
+    return {
+        "n": n,
+        "m": m,
+        "A": [[i, j] for i, j in draw(cells(n, n, 10))],
+        "c": [{"sensor": i, "state": j, "cost": draw(COSTS)} for i, j in draw(cells(m, n, 12))],
+        "net": {"undirected": undirected,
+                "links": [{"from": u, "to": v, "cost": cost} for (u, v), cost in links.items()]},
+    }
+
+
+MISSING = object()
+PAST = object()  # one past the largest index
+INDEX_BREAKS = [True, False, 1.5, 1.0, "1", None, 0, -1, 2**63, 2**64, MISSING, PAST]
+COST_BREAKS = [-1.0, -1, math.nan, math.inf, -math.inf, True, "1", None, MISSING,
+               2**53 + 1, 2**63, 2**64, 10**400]
+ENTRY_BREAKS = [5, None, "x", 1.5, [1], [1, 2, 3], {"row": 1}, [1, 2], {"sensor": 1}]
+
+
+def _corrupt(data, doc) -> None:
+    """Break one entry of A or c in place, or duplicate one."""
+    key = data.draw(st.sampled_from(["A", "c"]))
+    entries = doc[key]
+    if not entries:  # give the break an entry to land on
+        entries.append([1, 1] if key == "A" else {"sensor": 1, "state": 1, "cost": 1.0})
+    k = data.draw(st.integers(0, len(entries) - 1))
+    well_formed = (isinstance(entries[k], list) and len(entries[k]) == 2 if key == "A"
+                   else isinstance(entries[k], dict) and {"sensor", "state"} <= entries[k].keys())
+    how = data.draw(st.sampled_from(["index", "cost", "entry", "duplicate"]))
+    if how == "entry" or not well_formed:
+        entries[k] = data.draw(st.sampled_from(ENTRY_BREAKS))
+    elif how == "duplicate":
+        copy = json.loads(json.dumps(entries[k]))
+        entries.insert(data.draw(st.integers(0, len(entries))), copy)
+    elif how == "cost" and key == "c":
+        value = data.draw(st.sampled_from(COST_BREAKS))
+        if value is MISSING:
+            entries[k].pop("cost", None)
+        else:
+            entries[k]["cost"] = value
+    else:
+        field = data.draw(st.sampled_from([0, 1] if key == "A" else ["sensor", "state"]))
+        value = data.draw(st.sampled_from(INDEX_BREAKS))
+        if value is PAST:
+            value = doc["m"] + 1 if field == "sensor" else doc["n"] + 1
+        if value is MISSING:
+            del entries[k][field]
+        else:
+            entries[k][field] = value
+
+
+def _outcome(read, text: str):
+    try:
+        instance = read(text)
+    except ObsnetError as exc:
+        return type(exc), str(exc)
+    table = instance.sensing_cost
+    return (instance.n, instance.m, instance.system_pattern, table.shape, table.tobytes(),
+            list(instance.network.arcs.items()), instance.network_undirected)
+
+
+def _reads_as_reference(text: str) -> None:
+    """Same outcome as the reference reader; a valid document never takes
+    the per-entry path."""
+    with mock.patch.object(graphs, "_sensing_costs_by_entry",
+                           wraps=graphs._sensing_costs_by_entry) as costs_by_entry, \
+         mock.patch.object(graphs, "_pattern_by_entry",
+                           wraps=graphs._pattern_by_entry) as pattern_by_entry:
+        got = _outcome(graphs.parse_instance, text)
+    want = _outcome(reference_parse_instance, text)
+    assert got == want
+    if not isinstance(want[0], type):
+        assert not costs_by_entry.called and not pattern_by_entry.called
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_reader_matches_reference_on_generated_documents(data):
+    doc = data.draw(documents())
+    for _ in range(data.draw(st.integers(0, 2))):
+        _corrupt(data, doc)
+    _reads_as_reference(json.dumps(doc))
+
+
+# hand-shaped documents: a generated one with 6,000 c entries, so that an
+# error can follow a long valid prefix, and a small undirected one
+BASES = [serialize_instance(generate_instance(300, 20, seed=3)),
+         serialize_instance(generate_instance(8, 3, seed=5, undirected=True))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_reader_matches_reference_on_hand_shaped_documents(data):
+    doc = json.loads(data.draw(st.sampled_from(BASES)))
+    for _ in range(data.draw(st.integers(0, 2))):
+        _corrupt(data, doc)
+    _reads_as_reference(json.dumps(doc))
+
+
+@pytest.mark.parametrize("at", [0, 4321, 5999])
+def test_a_duplicate_after_thousands_of_entries_is_named(at):
+    doc = json.loads(BASES[0])
+    assert len(doc["c"]) == 6000
+    entry = doc["c"][at]
+    doc["c"].append(dict(entry))
+    with pytest.raises(ValidationError) as info:
+        graphs.parse_instance(json.dumps(doc))
+    assert str(info.value) == (
+        f"c[6000]: duplicate entry for sensor {entry['sensor']}, state {entry['state']}"
+    )
+
+
+def _edit(path, value):
+    def edit(doc):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+def test_integers_past_float_range_are_validation_errors(tmp_path, capsys):
+    """Such integers raised OverflowError, and the CLI reported kind "internal"."""
+    doc = json.loads(serialize_instance(generate_instance(6, 3, seed=2)))
+    huge = 10**400
+    cases = [
+        (_edit(["c", 4, "cost"], huge),
+         "c[4].cost: must fit a float, got an integer of 401 digits"),
+        (_edit(["net", "links", 1, "cost"], huge),
+         "net.links[1].cost: must fit a float, got an integer of 401 digits"),
+    ]
+    for k, (edit, message) in enumerate(cases):
+        broken = json.loads(json.dumps(doc))
+        edit(broken)
+        path = tmp_path / f"huge-{k}.json"
+        path.write_text(json.dumps(broken), encoding="utf-8")
+        assert run(["design", "--in", str(path), "--out", str(tmp_path / "d.json")]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "kind": "validation", "message": message}
+
+
+def test_design_cost_past_float_range_is_a_validation_error(tmp_path, capsys):
+    instance = tmp_path / "inst.json"
+    design = tmp_path / "design.json"
+    assert run(["gen", "--n", "6", "--m", "3", "--seed", "2", "--out", str(instance)]) == 0
+    assert run(["design", "--in", str(instance), "--out", str(design)]) == 0
+    doc = json.loads(design.read_text(encoding="utf-8"))
+    doc["sensing_cost"] = 10**400
+    design.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["verify", "--in", str(instance), "--design", str(design)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "kind": "validation",
+        "message": "design.sensing_cost: must fit a float, got an integer of 401 digits",
+    }
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python reads integers of any length")
+def test_unreadable_documents_are_validation_errors(tmp_path, capsys):
+    """An integer past the int-string limit raised a plain ValueError, and
+    deep nesting a RecursionError; the CLI reported both as "internal"."""
+    long_n = "9" * (sys.get_int_max_str_digits() + 1)
+    for k, text in enumerate([f'{{"n": {long_n}, "m": 1}}', "[" * 100_000]):
+        path = tmp_path / f"bad-{k}.json"
+        path.write_text(text, encoding="utf-8")
+        assert run(["design", "--in", str(path), "--out", str(tmp_path / "d.json")]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "validation"
+        assert error["message"].startswith("instance document cannot be read: ")
