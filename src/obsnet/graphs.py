@@ -194,10 +194,20 @@ class WeightedDigraph:
         return None
 
 
+def _inf_table(m: int, n: int) -> np.ndarray:
+    """An (m, n) sensing-cost table of inf. A size numpy refuses to build
+    (past its dimension or byte limits) breaks the instance rules, so it is
+    a ValidationError rather than numpy's ValueError."""
+    try:
+        return np.full((m, n), np.inf)
+    except ValueError as exc:
+        raise ValidationError(f"a {m}x{n} sensing cost table is too large: {exc}") from exc
+
+
 def _cost_table(costs, m: int, n: int) -> np.ndarray:
     """Read-only (m, n) copy of the sensing costs, inf where forbidden."""
     if isinstance(costs, Mapping):
-        table = np.full((m, n), np.inf)
+        table = _inf_table(m, n)
         cells = _bulk_pairs(costs, tuple, m, n, 0)
         values = None if cells is None else _bulk_costs(costs.values())
         if values is not None:
@@ -410,13 +420,13 @@ def _sensing_costs(entries: list, m: int, n: int) -> np.ndarray:
             pass
     if costs is None:
         return _sensing_costs_by_entry(entries, m, n)
-    table = np.full((m, n), np.inf)
+    table = _inf_table(m, n)
     table[cells] = costs
     return table
 
 
 def _sensing_costs_by_entry(entries: list, m: int, n: int) -> np.ndarray:
-    table = np.full((m, n), np.inf)
+    table = _inf_table(m, n)
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValidationError(f"c[{k}]: expected an object, got {entry!r}")

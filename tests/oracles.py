@@ -10,7 +10,9 @@ the library once ran, kept unchanged as the tie-break reference;
 writers it once ran, a dict through ``json.dumps``, kept as the byte
 reference for the direct writers; ``reference_parse_instance`` is the
 instance reader it once ran, one entry at a time, kept as the reference for
-the column-checked reader, down to the first error and its message.
+the column-checked reader, down to the first error and its message;
+``reference_trial_rank`` is the one-trial-at-a-time verifier it once ran,
+kept as the rank reference for the stacked trials.
 """
 
 from __future__ import annotations
@@ -315,7 +317,9 @@ def observability_matrix_rank(a: np.ndarray, c: np.ndarray, tol: float = 1e-8) -
 def growing_basis_rank(a: np.ndarray, c: np.ndarray, tol: float) -> int:
     """The row-space expansion of ``kalman_rank_observable`` with a basis
     that grows by one ``np.vstack`` per step: the same projections and
-    cut-off, so the same count, even where the last step overshoots n."""
+    cut-off, so the same count, except where the last step overshoots n;
+    the count is then more than n, where ``kalman_rank_observable`` caps
+    it."""
     n = a.shape[0]
     basis = np.zeros((0, n))
     frontier = c
@@ -360,6 +364,70 @@ def exact_observability_rank(a: np.ndarray, c: np.ndarray) -> int:
             for r in block
         ]
     return len(pivots)
+
+
+def reference_rowspace_rank(step, c: np.ndarray, n: int, tol: float) -> int:
+    """The row-space expansion of one trial: the basis grows in place, each
+    new block is projected against it twice, and an SVD per step counts the
+    directions above ``tol`` times the largest singular value seen; the
+    count stops at n."""
+    basis = np.empty((n, n))
+    rank = 0
+    frontier = c
+    reference = 0.0
+    while frontier.shape[0] and rank < n:
+        b = basis[:rank]
+        residual = frontier - (frontier @ b.T) @ b
+        residual = residual - (residual @ b.T) @ b
+        _, sing, vt = np.linalg.svd(residual, full_matrices=False)
+        reference = max(reference, float(sing[0]))
+        fresh = vt[sing > tol * reference]
+        k = fresh.shape[0]
+        if k == 0 or rank + k >= n:
+            return min(rank + k, n)
+        basis[rank:rank + k] = fresh
+        rank += k
+        frontier = step(fresh)
+    return rank
+
+
+def _realize(pattern: StructuredMatrix, rng: np.random.Generator) -> np.ndarray:
+    out = np.zeros((pattern.rows, pattern.cols))
+    pairs = np.array(pattern.sorted_pairs(), dtype=np.intp).reshape(-1, 2)
+    out[pairs[:, 0], pairs[:, 1]] = rng.uniform(0.5, 1.5, size=len(pairs))
+    return out
+
+
+def reference_trial_rank(
+    instance: ProblemInstance,
+    h_pattern: StructuredMatrix,
+    w_pattern: StructuredMatrix,
+    rng: np.random.Generator,
+    tol: float,
+) -> int:
+    """One trial of the networked rank test on its own: the system matrix
+    (re-drawn up to seven times while numerically singular), the
+    measurement values and the row-stochastic weights, drawn in that order
+    from ``rng``, then ``reference_rowspace_rank`` of the pair
+    (W kron A, measurement Gram rows), with W kron A applied one row's
+    blocks at a time."""
+    n, m = instance.n, instance.m
+    for _ in range(8):
+        a = _realize(instance.system_pattern, rng)
+        if np.linalg.matrix_rank(a) == n:
+            break
+    h = _realize(h_pattern, rng)
+    w = _realize(w_pattern, rng)
+    w[np.arange(m), np.arange(m)] = rng.uniform(0.5, 1.5, size=m)
+    w = w / w.sum(axis=1, keepdims=True)
+    c = np.zeros((m, m * n))
+    for (i, state) in h_pattern.sorted_pairs():
+        c[i, i * n + state] = h[i, state] ** 2
+
+    def step(rows: np.ndarray) -> np.ndarray:
+        return (w.T @ (rows.reshape(-1, m, n) @ a)).reshape(-1, m * n)
+
+    return reference_rowspace_rank(step, c, m * n, tol)
 
 
 def build_measurement_gram(h: np.ndarray) -> np.ndarray:

@@ -12,7 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obsnet import ObsnetError, ValidationError, generate_instance, graphs, serialize_instance
+from obsnet import (
+    ObsnetError,
+    ProblemInstance,
+    StructuredMatrix,
+    ValidationError,
+    WeightedDigraph,
+    generate_instance,
+    graphs,
+    serialize_instance,
+)
 from obsnet.cli import run
 from oracles import reference_parse_instance
 
@@ -210,3 +219,24 @@ def test_unreadable_documents_are_validation_errors(tmp_path, capsys):
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["kind"] == "validation"
         assert error["message"].startswith("instance document cannot be read: ")
+
+
+@pytest.mark.parametrize("n, m", [(10**30, 1), (2**62, 4)], ids=["dimension", "bytes"])
+def test_sensing_table_numpy_cannot_build_is_a_validation_error(tmp_path, capsys, n, m):
+    """Past numpy's dimension or byte limit, building the (m, n) table raised
+    numpy's ValueError, and the CLI reported it as "internal". Sizes numpy
+    accepts but memory cannot hold are not tried here."""
+    message = f"a {m}x{n} sensing cost table is too large: "
+    text = json.dumps({"n": n, "m": m, "A": [[1, 1]], "c": [],
+                       "net": {"undirected": False, "links": []}})
+    with pytest.raises(ValidationError, match=message):
+        graphs.parse_instance(text)
+    with pytest.raises(ValidationError, match=message):
+        ProblemInstance(n=n, m=m, system_pattern=StructuredMatrix(n, n, frozenset({(0, 0)})),
+                        sensing_cost={}, network=WeightedDigraph(m, {}))
+    path = tmp_path / "huge.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(["analyze", "--in", str(path)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "validation"
+    assert error["message"].startswith(message)

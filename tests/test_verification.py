@@ -17,11 +17,13 @@ from obsnet import (
     rng_for,
     verify_design_numeric,
 )
+from obsnet.verification import _STACK_BYTES, _trial_ranks
 from oracles import (
     build_measurement_gram,
     exact_observability_rank,
     growing_basis_rank,
     observability_matrix_rank,
+    reference_trial_rank,
 )
 
 
@@ -177,7 +179,8 @@ def test_kalman_matches_explicit_observability_matrix():
 
 def test_kalman_rank_matches_a_growing_basis():
     # tiny tolerances count rounding noise, so a step can bring more fresh
-    # rows than the basis has room for; the count is still the grown one
+    # rows than the basis has room for; the grown count then overshoots n,
+    # and the rank is n, since the complement of the basis had no more room
     rng = np.random.default_rng(23)
     overshoots = 0
     for _ in range(150):
@@ -188,10 +191,21 @@ def test_kalman_rank_matches_a_growing_basis():
         c = rng.standard_normal((int(rng.integers(1, 4)), n))
         tol = float(rng.choice([1e-300, 1e-20, 1e-8, 1e-3, 0.5]))
         ok, rank = kalman_rank_observable(a, c, tol)
-        assert rank == growing_basis_rank(a, c, tol)
+        grown = growing_basis_rank(a, c, tol)
+        assert rank == min(grown, n)
         assert ok == (rank == n)
-        overshoots += rank > n
+        overshoots += grown > n
     assert overshoots > 0
+
+
+@pytest.mark.parametrize("tol", [1e-20, 1e-8])
+def test_kalman_rank_never_exceeds_the_state_count(tol):
+    # at 1e-20 a step once counted rounding noise past the basis's room and
+    # reported (False, 4) for this observable 3-state pair
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((3, 3))
+    c = rng.standard_normal((2, 3))
+    assert kalman_rank_observable(a, c, tol) == (True, 3)
 
 
 def test_kalman_rank_monotone_in_measurements():
@@ -311,6 +325,7 @@ def test_non_sc_counterexample_fails_every_trial():
         ok, rank = observability_trial(instance, h, w, rng_for(77, "cx", trial))
         assert not ok
         assert instance.m * instance.n - rank >= 1
+        assert rank == reference_trial_rank(instance, h, w, rng_for(77, "cx", trial), 1e-8)
 
 
 def explicit_trial_rank(instance, h, w, rng) -> int:
@@ -362,3 +377,95 @@ def test_scalar_design_verifies():
     design = design_instance(instance)
     report = verify_design_numeric(instance, design, trials=5, seed=3)
     assert report.passes == 5
+
+
+# --- stacked trials against the one-trial-at-a-time reference ----------------
+
+
+def stacked_and_reference_ranks(instance, h, w, trials, seed, tol):
+    """Per-trial ranks of one stacked call on the verify streams, and of the
+    reference run one trial at a time on twins of the same streams."""
+    rngs = [rng_for(seed, "verify", t) for t in range(trials)]
+    stacked = _trial_ranks(instance, h, w, rngs, tol).tolist()
+    reference = [
+        reference_trial_rank(instance, h, w, rng_for(seed, "verify", t), tol)
+        for t in range(trials)
+    ]
+    return stacked, reference
+
+
+def test_stacked_trials_match_the_per_trial_reference():
+    # n 2..20, m 1..5, both directions, tolerances 1e-4 to 1e-12
+    pick = np.random.default_rng(101)
+    for case in range(300):
+        n = int(pick.integers(2, 21))
+        m = int(pick.integers(1, min(5, n) + 1))
+        density = float(pick.uniform(0.0, 0.6))
+        instance = generate_instance(n, m, density, case, undirected=case % 2 == 0)
+        design = design_instance(instance)
+        tol = 10.0 ** -float(pick.uniform(4, 12))
+        trials = int(pick.integers(1, 4))
+        stacked, reference = stacked_and_reference_ranks(
+            instance, design.measurement_pattern, design.network_pattern, trials, case, tol
+        )
+        assert stacked == reference, (n, m, density, case, tol)
+
+
+@pytest.mark.parametrize("n, m, trials", [(20, 5, 30), (18, 5, 35), (15, 4, 40)])
+def test_trials_spanning_several_stacks_match_the_reference(n, m, trials):
+    dim = n * m
+    assert trials > max(1, _STACK_BYTES // (8 * dim * dim))  # two stacks at least
+    for seed in range(2):
+        instance = generate_instance(n, m, 0.3, seed, undirected=seed == 1)
+        design = design_instance(instance)
+        stacked, reference = stacked_and_reference_ranks(
+            instance, design.measurement_pattern, design.network_pattern, trials, seed, 1e-8
+        )
+        assert stacked == reference
+
+
+def test_probe_trial_splits_off_its_own_cohort():
+    # a sound design whose verify-stream trial 10 falls 2 short at 1e-8,
+    # while the other 19 trials of its stack reach full rank 24
+    instance = generate_instance(12, 2, 0.3, 1856036422)
+    design = design_instance(instance)
+    h, w = design.measurement_pattern, design.network_pattern
+    stacked, reference = stacked_and_reference_ranks(instance, h, w, 20, 0, 1e-8)
+    assert stacked == reference
+    assert stacked == [24] * 10 + [22] + [24] * 9
+    report = verify_design_numeric(instance, design, trials=20)
+    assert (report.passes, report.rank_deficits) == (19, (2,))
+
+
+def test_verify_never_reports_a_negative_deficit():
+    # at these tolerances rounding noise counts as directions; a last step
+    # once brought more fresh rows than the basis had room for, and the
+    # report listed a deficit of -1 for 15 of these 180 calls
+    for seed in range(60):
+        n = 2 + seed % 6
+        m = 1 + seed % min(3, n)
+        instance = generate_instance(n, m, density=0.4, seed=seed)
+        design = design_instance(instance)
+        for tol in (1e-300, 1e-20, 1e-16):
+            report = verify_design_numeric(instance, design, trials=4, seed=seed, tolerance=tol)
+            assert all(d > 0 for d in report.rank_deficits)
+            assert report.passes + len(report.rank_deficits) == 4
+
+
+def test_verify_memory_stays_within_one_basis_and_the_stack_budget():
+    # one dim-400 basis (1.28 MB) is larger than the stack budget, so each
+    # trial runs alone: three stacked trials would hold three bases
+    import tracemalloc
+
+    instance = generate_instance(40, 10, 0.3, 1)
+    design = design_instance(instance)
+    dim = instance.n * instance.m
+    tracemalloc.start()
+    try:
+        report = verify_design_numeric(instance, design, trials=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _STACK_BYTES < 8 * dim * dim
+    assert report.passes == 3
+    assert peak <= 8 * dim * dim + _STACK_BYTES
