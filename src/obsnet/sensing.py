@@ -11,6 +11,7 @@ violator.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +110,13 @@ def _hall_violator(cost: np.ndarray, rows: list[int]) -> tuple[list[int], list[i
     return rows, cols
 
 
+def _check_costs(cost: np.ndarray) -> None:
+    """The one entry rule of both assignment solvers: NaN and any negative
+    entry, ``-inf`` included, are refused; ``+inf`` marks a forbidden pair."""
+    if np.isnan(cost).any() or (cost < 0).any():
+        raise ShapeError("assignment costs must be nonnegative (inf = forbidden)")
+
+
 def solve_lsap(cost: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum-cost perfect assignment on a square matrix with inf = forbidden.
 
@@ -120,44 +128,64 @@ def solve_lsap(cost: np.ndarray) -> tuple[np.ndarray, float]:
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ShapeError(f"assignment needs a square matrix, got {cost.shape}")
-    if np.isnan(cost).any() or (cost[np.isfinite(cost)] < 0).any():
-        raise ShapeError("assignment costs must be nonnegative (inf = forbidden)")
+    _check_costs(cost)
     m = cost.shape[0]
     INF = np.inf
-    u = np.zeros(m + 1)
-    v = np.zeros(m + 1)
+    u = np.zeros(m)
+    v = np.zeros(m)
     row_of_col = np.full(m + 1, -1, dtype=np.int64)  # index m is the virtual start column
+    # A free column's v never changes inside one row's search, and a tree
+    # row's u is read only when the row joins. So the tree's rows and used
+    # columns, with their potentials, live in these buffers in joining order,
+    # take one slice update per step, and are written back when the search
+    # ends. minv stays +inf on used columns, so no step needs a free mask.
+    tree_rows = np.empty(m, dtype=np.int64)
+    tree_cols = np.empty(m, dtype=np.int64)
+    u_tree = np.empty(m)
+    v_tree = np.empty(m)
+    cur = np.empty(m)
+    better = np.empty(m, dtype=bool)
+    minv = np.empty(m)
+    way = np.empty(m, dtype=np.int64)
     for i in range(m):
         row_of_col[m] = i
-        j0 = m
-        minv = np.full(m, INF)
-        way = np.full(m, m, dtype=np.int64)
-        used = np.zeros(m + 1, dtype=bool)
+        minv.fill(INF)
+        way.fill(m)
+        tree_rows[0] = i
+        u_tree[0] = u[i]
+        k = 1  # tree rows; the tree's used real columns are tree_cols[:k - 1]
+        i0, j0 = i, m
         while True:
-            used[j0] = True
-            i0 = row_of_col[j0]
-            free = ~used[:m]
-            cur = cost[i0, :m] - u[i0] - v[:m]
-            better = free & (cur < minv)
-            minv[better] = cur[better]
-            way[better] = j0
-            masked = np.where(free, minv, INF)
-            j1 = int(np.argmin(masked))
-            delta = masked[j1]
-            if not np.isfinite(delta):
-                tree_rows = sorted({int(row_of_col[j]) for j in range(m + 1) if used[j]})
-                rows, cols = _hall_violator(cost, tree_rows)
+            np.subtract(cost[i0], u_tree[k - 1], out=cur)
+            np.subtract(cur, v, out=cur)
+            cur[tree_cols[: k - 1]] = INF
+            np.less(cur, minv, out=better)
+            np.copyto(minv, cur, where=better)
+            np.copyto(way, j0, where=better)
+            j1 = int(minv.argmin())
+            delta = minv[j1]
+            if not math.isfinite(delta):
+                rows, cols = _hall_violator(cost, tree_rows[:k].tolist())
                 raise InfeasibleError(
                     f"no feasible assignment: sensors {[r + 1 for r in rows]} can"
                     f" only cover parent components {[c + 1 for c in cols]}"
                     f" ({len(rows)} sensors, {len(cols)} components)"
                 )
-            u[row_of_col[used]] += delta
-            v[np.flatnonzero(used[:m])] -= delta
-            minv[free] -= delta
+            u_tree[:k] += delta
+            v_tree[: k - 1] -= delta
+            minv -= delta
             j0 = j1
-            if row_of_col[j0] == -1:
+            i0 = int(row_of_col[j0])
+            if i0 == -1:
                 break
+            minv[j0] = INF
+            tree_cols[k - 1] = j0
+            v_tree[k - 1] = v[j0]
+            tree_rows[k] = i0
+            u_tree[k] = u[i0]
+            k += 1
+        u[tree_rows[:k]] = u_tree[:k]
+        v[tree_cols[: k - 1]] = v_tree[: k - 1]
         while j0 != m:  # walk the alternating path back, flipping matches
             j1 = int(way[j0])
             row_of_col[j0] = row_of_col[j1]
@@ -186,6 +214,7 @@ def brute_force_assignment(matrix: ParentCostMatrix) -> SensorAssignment:
             f"brute-force assignment guard: m={m} exceeds {BRUTE_FORCE_MAX_SENSORS}"
         )
     cost = matrix.cost
+    _check_costs(cost)
     rows = np.arange(m)
     best_cost = np.inf
     best_perm: tuple[int, ...] | None = None

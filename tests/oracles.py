@@ -12,7 +12,10 @@ reference for the direct writers; ``reference_parse_instance`` is the
 instance reader it once ran, one entry at a time, kept as the reference for
 the column-checked reader, down to the first error and its message;
 ``reference_trial_rank`` is the one-trial-at-a-time verifier it once ran,
-kept as the rank reference for the stacked trials.
+kept as the rank reference for the stacked trials; ``reference_lsap`` is
+the assignment loop it once ran, with a free-column mask and a full
+potential update at every step, kept as the step-for-step reference for the
+buffered loop.
 """
 
 from __future__ import annotations
@@ -24,8 +27,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from obsnet import ProblemInstance, StructuredMatrix, ValidationError, WeightedDigraph
+from obsnet import (
+    InfeasibleError,
+    ProblemInstance,
+    ShapeError,
+    StructuredMatrix,
+    ValidationError,
+    WeightedDigraph,
+)
 from obsnet.graphs import DesignResult
+from obsnet.sensing import _hall_violator, _total_cost
 
 
 def influence_edges(nonzeros) -> set[tuple[int, int]]:
@@ -296,6 +307,61 @@ def reference_best_union(net: WeightedDigraph):
         if best is None or cost < best[2]:
             best = (arcs, r, cost)
     return best
+
+
+def reference_lsap(cost: np.ndarray) -> tuple[np.ndarray, float]:
+    """Shortest-augmenting-path assignment as the library once ran it: each
+    step masks the used columns with ``np.where`` and updates the potentials
+    of the whole tree by fancy indexing. Its entry check skips ``-inf``
+    (``solve_lsap`` refuses it), so compare the two on other inputs."""
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ShapeError(f"assignment needs a square matrix, got {cost.shape}")
+    if np.isnan(cost).any() or (cost[np.isfinite(cost)] < 0).any():
+        raise ShapeError("assignment costs must be nonnegative (inf = forbidden)")
+    m = cost.shape[0]
+    INF = np.inf
+    u = np.zeros(m + 1)
+    v = np.zeros(m + 1)
+    row_of_col = np.full(m + 1, -1, dtype=np.int64)  # index m is the virtual start column
+    for i in range(m):
+        row_of_col[m] = i
+        j0 = m
+        minv = np.full(m, INF)
+        way = np.full(m, m, dtype=np.int64)
+        used = np.zeros(m + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = row_of_col[j0]
+            free = ~used[:m]
+            cur = cost[i0, :m] - u[i0] - v[:m]
+            better = free & (cur < minv)
+            minv[better] = cur[better]
+            way[better] = j0
+            masked = np.where(free, minv, INF)
+            j1 = int(np.argmin(masked))
+            delta = masked[j1]
+            if not np.isfinite(delta):
+                tree_rows = sorted({int(row_of_col[j]) for j in range(m + 1) if used[j]})
+                rows, cols = _hall_violator(cost, tree_rows)
+                raise InfeasibleError(
+                    f"no feasible assignment: sensors {[r + 1 for r in rows]} can"
+                    f" only cover parent components {[c + 1 for c in cols]}"
+                    f" ({len(rows)} sensors, {len(cols)} components)"
+                )
+            u[row_of_col[used]] += delta
+            v[np.flatnonzero(used[:m])] -= delta
+            minv[free] -= delta
+            j0 = j1
+            if row_of_col[j0] == -1:
+                break
+        while j0 != m:  # walk the alternating path back, flipping matches
+            j1 = int(way[j0])
+            row_of_col[j0] = row_of_col[j1]
+            j0 = j1
+    col_of_row = np.empty(m, dtype=np.int64)
+    col_of_row[row_of_col[:m]] = np.arange(m)
+    return col_of_row, _total_cost(cost, col_of_row)
 
 
 def observability_matrix_rank(a: np.ndarray, c: np.ndarray, tol: float = 1e-8) -> int:

@@ -11,6 +11,7 @@ from obsnet import (
     GuardError,
     InfeasibleError,
     ProblemInstance,
+    ShapeError,
     StructuredMatrix,
     ValidationError,
     WeightedDigraph,
@@ -22,8 +23,8 @@ from obsnet import (
     solve_lsap,
 )
 from obsnet.graphs import DesignResult
-from obsnet.sensing import brute_force_assignment
-from oracles import parent_costs_by_scan
+from obsnet.sensing import ParentCostMatrix, brute_force_assignment
+from oracles import parent_costs_by_scan, reference_lsap
 
 
 def assignment_instance(n, m, costs, pattern=None) -> ProblemInstance:
@@ -169,6 +170,78 @@ def test_hall_certificate_is_always_genuine():
     assert seen > 20  # the sweep actually exercised infeasible cases
 
 
+def _outcome(solver, cost):
+    """(column per row, total as hex) or (exception type, message)."""
+    try:
+        perm, total = solver(cost)
+    except (InfeasibleError, ShapeError) as exc:
+        return type(exc), str(exc)
+    return perm.tolist(), total.hex()
+
+
+def test_lsap_matches_reference_loop_step_for_step():
+    # same permutation, bit-identical total, same exception and message
+    rng = np.random.default_rng(15)
+    infeasible = 0
+    for trial in range(2100):
+        m = int(rng.integers(1, 26))
+        kind = trial % 3
+        if kind == 0:
+            cost = rng.integers(0, 3, size=(m, m)).astype(float)
+        elif kind == 1:
+            cost = rng.integers(0, 40, size=(m, m)) * 0.1
+        else:
+            cost = rng.uniform(0.0, 10.0, size=(m, m))
+        cost[rng.random((m, m)) < rng.uniform(0.20, 0.25)] = np.inf
+        expected = _outcome(reference_lsap, cost)
+        assert _outcome(solve_lsap, cost) == expected, (trial, cost)
+        infeasible += expected[0] is InfeasibleError
+    assert infeasible > 30  # Hall violations were exercised (44 at this seed)
+    for cost in (
+        rng.uniform(0.0, 10.0, size=(100, 100)),
+        rng.uniform(0.0, 10.0, size=(400, 400)),
+        rng.integers(1, 6, size=(200, 200)).astype(float),
+    ):
+        assert _outcome(solve_lsap, cost) == _outcome(reference_lsap, cost)
+
+
+def test_lsap_leaves_the_callers_matrix_alone():
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        m = int(rng.integers(1, 12))
+        cost = random_cost_matrix(rng, m, forbid=0.3, integers=False)
+        before = cost.tobytes()
+        expected = _outcome(solve_lsap, cost)
+        assert cost.tobytes() == before
+        frozen = cost.copy()
+        frozen.flags.writeable = False
+        assert _outcome(solve_lsap, frozen) == expected
+        assert frozen.tobytes() == before
+
+
+@pytest.mark.parametrize(
+    "cost",
+    [
+        [[-np.inf]],
+        [[1.0, -np.inf], [2.0, 3.0]],
+        [[np.nan, 1.0], [1.0, 2.0]],
+        [[-1.0, 1.0], [1.0, 2.0]],
+    ],
+)
+def test_every_solver_refuses_negative_and_nan_costs(cost):
+    cost = np.array(cost)
+    matrix = dataclasses.replace(build_fake_matrix(cost.shape[0]), cost=cost)
+    message = "assignment costs must be nonnegative (inf = forbidden)"
+    for solve in (
+        lambda: solve_lsap(cost),
+        lambda: hungarian_solve(matrix),
+        lambda: brute_force_assignment(matrix),
+    ):
+        with pytest.raises(ShapeError) as info:
+            solve()
+        assert str(info.value) == message
+
+
 def test_hungarian_equals_brute_force_on_random_matrices():
     rng = np.random.default_rng(2)
     for trial in range(200):
@@ -226,8 +299,6 @@ def test_solver_totals_are_bitwise_equal():
 
 
 def build_fake_matrix(m):
-    from obsnet.sensing import ParentCostMatrix
-
     return ParentCostMatrix(
         size=m,
         cost=np.ones((m, m)),
