@@ -51,7 +51,10 @@ class ScopeError(InfeasibleError):
 
 
 class GuardError(ObsnetError):
-    """An exact brute-force oracle was asked to exceed its size guard."""
+    """A size guard refused the input before any work: an exact brute-force
+    oracle past its size limit, or a numeric verification whose dimension
+    m n is past ``verification.VERIFY_MAX_DIM`` (one trial's basis takes
+    8 (m n)^2 bytes)."""
 
     exit_code = 3
     kind = "guard"

@@ -9,6 +9,8 @@ candidate network is strongly connected.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import ValidationError
@@ -118,6 +120,10 @@ def generate_instance(
     system, the costs and the network each see stable draws regardless of
     the other sections.
     """
+    if not all(isinstance(k, numbers.Integral) and type(k) is not bool for k in (n, m)):
+        raise ValidationError(f"n and m must be integers, got n={n!r}, m={m!r}")
+    if not isinstance(density, numbers.Real) or type(density) is bool:
+        raise ValidationError(f"density must be a real number, got {density!r}")
     if n < 1 or m < 1:
         raise ValidationError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     if m > n:

@@ -29,6 +29,7 @@ __all__ = [
     "ProblemInstance",
     "DesignResult",
     "check_design_shape",
+    "real_array",
     "one_state_per_sensor",
     "canonical_json",
     "parse_instance",
@@ -204,6 +205,19 @@ def _inf_table(m: int, n: int) -> np.ndarray:
         raise ValidationError(f"a {m}x{n} sensing cost table is too large: {exc}") from exc
 
 
+def real_array(values, what: str, error: type[ValidationError | ShapeError]) -> np.ndarray:
+    """``values`` as a float64 array, not copied if it already is one. It
+    must be an array of int, uint or float: bool, complex, str, object and
+    ragged input raise ``error``."""
+    try:
+        table = np.asarray(values)
+    except ValueError as exc:
+        raise error(f"{what} is not an array: {exc}") from exc
+    if table.dtype.kind not in "iuf":
+        raise error(f"{what} must hold real numbers, got dtype {table.dtype}")
+    return table.astype(np.float64, copy=False)
+
+
 def _cost_table(costs, m: int, n: int) -> np.ndarray:
     """Read-only (m, n) copy of the sensing costs, inf where forbidden."""
     if isinstance(costs, Mapping):
@@ -217,13 +231,7 @@ def _cost_table(costs, m: int, n: int) -> np.ndarray:
             _index_pairs(costs, m, n, "sensing cost entry", "table")  # numpy ints index as well
             entries = costs.items()
     else:
-        try:
-            table = np.array(costs)
-        except ValueError as exc:
-            raise ValidationError(f"sensing cost is not an array: {exc}") from exc
-        if table.dtype.kind not in "iuf":  # bool, complex, str and object refused
-            raise ValidationError(f"sensing cost must hold real numbers, got dtype {table.dtype}")
-        table = table.astype(np.float64, copy=False)
+        table = real_array(costs, "sensing cost", ValidationError).copy()  # frozen below
         if table.shape != (m, n):
             shape = "x".join(map(str, table.shape))
             raise ShapeError(f"sensing cost is {shape}, expected {m}x{n}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, InfeasibleError, ShapeError
-from .graphs import ProblemInstance, StructuredMatrix
+from .graphs import ProblemInstance, StructuredMatrix, real_array
 from .structural import SccPartition
 
 __all__ = [
@@ -123,9 +123,10 @@ def solve_lsap(cost: np.ndarray) -> tuple[np.ndarray, float]:
     Shortest augmenting path formulation with dual potentials, one
     augmentation per row, O(m^3) overall. Returns (column per row, total).
     Raises InfeasibleError carrying a sensor set that violates Hall's
-    condition when no complete assignment exists.
+    condition when no complete assignment exists, and ShapeError for costs
+    that are not a square array of int, uint or float.
     """
-    cost = np.asarray(cost, dtype=float)
+    cost = real_array(cost, "assignment cost", ShapeError)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ShapeError(f"assignment needs a square matrix, got {cost.shape}")
     _check_costs(cost)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ShapeError, ValidationError
-from .graphs import DesignResult, ProblemInstance, StructuredMatrix, check_design_shape
+from .errors import GuardError, InfeasibleError, ShapeError, ValidationError
+from .graphs import DesignResult, ProblemInstance, StructuredMatrix, check_design_shape, real_array
 from .rng import rng_for
 from .structural import check_distributed_observability_structural
 
@@ -52,13 +52,6 @@ class VerificationReport:
             "rank_deficits": list(self.rank_deficits),
             "tolerance": self.tolerance,
         }
-
-
-def _check_tolerance(tolerance: float) -> None:
-    # at or below 0 rounding noise counts as rank, so deficits pass; at or
-    # above 1, or NaN, no direction counts, so every trial fails
-    if not 0 < tolerance < 1:
-        raise ValidationError(f"tolerance must be in (0, 1), got {tolerance}")
 
 
 def _pattern_index(pattern: StructuredMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -101,33 +94,56 @@ def make_row_stochastic(
     return _stochastic(_pattern_index(pattern), pattern.rows, rng)
 
 
-def _rowspace_rank(step, c: np.ndarray, tolerance: float) -> np.ndarray:
-    """Dimension of the smallest step-invariant row space containing c, for
-    each trial of a stack.
+# Past this m n the rank test refuses to run: a trial's basis would take
+# over 128 MiB, and one trial took 20 s at dim 4000, m = 10 (2-core box,
+# one BLAS thread); at m = 2 a dim-2000 trial already takes 10-12 s.
+VERIFY_MAX_DIM = 4096
+# The trials of one call run in stacks whose bases take at most this many
+# bytes together; a trial whose basis alone is larger runs by itself. Larger
+# stacks fall out of cache: at 2 MiB, dim-300 trials paired up ran slower.
+_STACK_BYTES = 1 << 20
 
-    ``c`` is a (trials, rows, n) stack, and ``step(rows, sel)`` maps a
-    stack of row blocks, one per trial that ``sel`` picks out of the stack,
-    to those rows applied to each trial's transition map. Grows one
-    orthonormal basis per trial of span(c, step(c), step^2(c), ...),
-    projecting each new block against it twice; new directions count only
-    when their singular value exceeds ``tolerance`` times the largest
-    singular value the trial has seen, so the test is scale-free. Trials
-    that find the same number of new directions go on as one cohort; a
-    trial that finds another number goes on in a cohort of its own. The
-    rank never exceeds n: the complement of a rank-r basis holds at most
-    n - r directions.
+
+def _check_rank_test(dim: int, tolerance: float) -> None:
+    """The entry rule of every rank test, checked before anything is drawn:
+    a tolerance in (0, 1), and a dimension whose basis, 8 dim^2 bytes and
+    the largest array a trial holds, is within ``VERIFY_MAX_DIM``."""
+    # at or below 0 rounding noise counts as rank, so deficits pass; at or
+    # above 1, or NaN, no direction counts, so every trial fails
+    if not 0 < tolerance < 1:
+        raise ValidationError(f"tolerance must be in (0, 1), got {tolerance}")
+    if dim > VERIFY_MAX_DIM:
+        raise GuardError(f"numeric verification guard: m*n={dim} exceeds {VERIFY_MAX_DIM}")
+
+
+def _rowspace_rank(a: np.ndarray, wt: np.ndarray, c: np.ndarray, tolerance: float) -> np.ndarray:
+    """Dimension of the smallest (W kron A)-invariant row space containing
+    c, for each trial of a stack.
+
+    ``a`` is a (trials, n, n) stack of system matrices, ``wt`` the matching
+    (trials, m, m) stack of transposed consensus weights and ``c`` a
+    (trials, rows, m n) stack. Rows go to rows @ (W kron A) without the
+    product being formed: one product with A per trial for all its rows at
+    once, then W.T on each row's (m, n) block. Grows one orthonormal basis
+    per trial of span(c, c (W kron A), ...), projecting each new block
+    against it twice; new directions count only when their singular value
+    exceeds ``tolerance`` times the largest singular value the trial has
+    seen, so the test is scale-free. Trials that find the same number of
+    new directions go on as one cohort; a trial that finds another number
+    goes on in a cohort of its own. The rank never exceeds m n: the
+    complement of a rank-r basis holds at most m n - r directions.
     """
-    _check_tolerance(tolerance)
-    trials, _, n = c.shape
+    trials, _, dim = c.shape
+    n, m = a.shape[1], wt.shape[1]
     ranks = np.zeros(trials, dtype=np.intp)
-    if n == 0 or c.shape[1] == 0:
+    if dim == 0 or c.shape[1] == 0:
         return ranks
-    # a cohort: its trials' places in the stack, their bases (rows [:rank]
-    # hold them; rows never written take no memory), their largest singular
-    # values, the rank they share and their frontier
-    cohorts = [(np.arange(trials), np.empty((trials, n, n)), np.zeros(trials), 0, c)]
+    # a cohort: its trials' places in the stack, matrices and weights, bases
+    # (rows [:rank] hold them; rows never written take no memory), largest
+    # singular values, shared rank and frontier
+    cohorts = [(np.arange(trials), a, wt, np.empty((trials, dim, dim)), np.zeros(trials), 0, c)]
     while cohorts:
-        ids, basis, reference, rank, frontier = cohorts.pop()
+        ids, a, wt, basis, reference, rank, frontier = cohorts.pop()
         b = basis[:, :rank]
         bt = b.transpose(0, 2, 1)
         residual = np.subtract(frontier, (frontier @ bt) @ b)  # frontier may be the caller's c
@@ -139,18 +155,19 @@ def _rowspace_rank(step, c: np.ndarray, tolerance: float) -> np.ndarray:
         counts = sorted(set(fresh))
         for k in counts:
             group = slice(None) if len(counts) == 1 else np.flatnonzero(np.equal(fresh, k))
-            if k == 0 or rank + k >= n:  # nothing new, or a full basis: no further step
-                ranks[ids[group]] = min(rank + k, n)
+            if k == 0 or rank + k >= dim:  # nothing new, or a full basis: no further step
+                ranks[ids[group]] = min(rank + k, dim)
                 continue
-            part_ids, part_basis, part_reference = ids, basis, reference
+            part_ids, part_a, part_wt, part_ref = ids[group], a[group], wt[group], reference[group]
+            part_basis = basis
             if len(counts) > 1:  # a cohort of its own, with a copy of its rows
-                part_ids, part_reference = ids[group], reference[group]
-                part_basis = np.empty((len(part_ids), n, n))
+                part_basis = np.empty((len(part_ids), dim, dim))
                 part_basis[:, :rank] = basis[group, :rank]
             part_basis[:, rank:rank + k] = vt[group, :k]
-            sel = part_ids if len(part_ids) < trials else slice(None)
-            frontier = step(part_basis[:, rank:rank + k], sel)
-            cohorts.append((part_ids, part_basis, part_reference, rank + k, frontier))
+            rows, t = part_basis[:, rank:rank + k], len(part_ids)
+            x = (rows.reshape(t, k * m, n) @ part_a).reshape(t, k, m, n)
+            frontier = (part_wt[:, None] @ x).reshape(t, k, dim)
+            cohorts.append((part_ids, part_a, part_wt, part_basis, part_ref, rank + k, frontier))
     return ranks
 
 
@@ -162,38 +179,21 @@ def kalman_rank_observable(
     Grows an orthonormal basis of the span of c, c a, c a^2, ... and stops
     when a sweep adds nothing; the pair is observable iff the basis reaches
     full dimension. Never forms the stacked observability matrix, whose
-    high powers would dominate the conditioning.
+    high powers would dominate the conditioning. Both matrices must hold
+    finite real numbers.
     """
-    a = np.asarray(a, dtype=float)
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    n = a.shape[0]
+    a = real_array(a, "state matrix", ShapeError)
+    c = np.atleast_2d(real_array(c, "output map", ShapeError))
+    n = a.shape[0] if a.ndim else 0
     if a.shape != (n, n):
         raise ShapeError(f"state matrix must be square, got {a.shape}")
     if c.shape[1] != n:
         raise ShapeError(f"output map has {c.shape[1]} columns, expected {n}")
-    rank = int(_rowspace_rank(lambda rows, sel: rows @ a, c[None], tolerance)[0])
+    if not (np.isfinite(a).all() and np.isfinite(c).all()):
+        raise ShapeError("state matrix and output map must be finite")
+    _check_rank_test(n, tolerance)
+    rank = int(_rowspace_rank(a[None], np.ones((1, 1, 1)), c[None], tolerance)[0])  # W = [[1]]
     return rank == n, rank
-
-
-# The trials of one call run in stacks whose bases take at most this many
-# bytes together; a trial whose basis alone is larger runs by itself. Larger
-# stacks fall out of cache: at 2 MiB, dim-300 trials paired up ran slower.
-_STACK_BYTES = 1 << 20
-
-
-def _joint_step(a: np.ndarray, wt: np.ndarray):
-    """The step of a stack of trials with system matrices ``a`` and
-    transposed consensus weights ``wt``: rows @ (W kron A) for each trial,
-    without materializing the product. One product with A per trial for
-    all its rows at once, then W.T on each row's (m, n) block."""
-    n, m = a.shape[1], wt.shape[1]
-
-    def step(rows: np.ndarray, sel) -> np.ndarray:
-        t, k = rows.shape[:2]
-        x = (rows.reshape(t, k * m, n) @ a[sel]).reshape(t, k, m, n)
-        return (wt[sel][:, None] @ x).reshape(t, k, m * n)
-
-    return step
 
 
 def _trial_ranks(
@@ -209,37 +209,35 @@ def _trial_ranks(
     Each stream draws, in this order: the system matrix, re-drawn up to
     seven times while numerically singular (a singular draw is non-generic
     and would fail the trial for the wrong reason), the measurement values
-    and the consensus weights. Every realization is drawn first; the trials
-    then run through the stacked rank test in stacks of at most
-    ``_STACK_BYTES`` of basis.
+    and the consensus weights. The trials run through the stacked rank test
+    in stacks of at most ``_STACK_BYTES`` of basis; each stack is drawn
+    when it runs, so one stack bounds the memory.
     """
     n, m = instance.n, instance.m
     dim = m * n
     sys_index = _pattern_index(instance.system_pattern)
     h_rows, h_cols = _pattern_index(h_pattern)
     w_index = _pattern_index(w_pattern)
-    a = np.stack([_fill((n, n), sys_index, rng) for rng in rngs])
-    for t in np.flatnonzero(np.linalg.matrix_rank(a) != n).tolist():
-        for _ in range(7):
-            a[t] = _fill((n, n), sys_index, rngs[t])
-            if np.linalg.matrix_rank(a[t]) == n:
-                break
-    # squared by the scalar power the trial always used, which can round
-    # differently from numpy's array square
-    h_sq = np.array(
-        [[v ** 2 for v in rng.uniform(0.5, 1.5, size=len(h_rows)).tolist()] for rng in rngs]
-    ).reshape(len(rngs), len(h_rows))
-    wt = np.stack([_stochastic(w_index, m, rng) for rng in rngs]).transpose(0, 2, 1)
     per_stack = max(1, _STACK_BYTES // (8 * dim * dim))
     ranks = []
     for lo in range(0, len(rngs), per_stack):
-        stack = slice(lo, lo + per_stack)
-        # The block-diagonal Gram stack has one independent row per
-        # measuring sensor: sensor i contributes h_i^T h_i, a single nonzero
-        # row. Feeding that row basis keeps the rank test at m starting rows.
-        c = np.zeros((len(a[stack]), m, dim))
-        c[:, h_rows, h_rows * n + h_cols] = h_sq[stack]
-        ranks.append(_rowspace_rank(_joint_step(a[stack], wt[stack]), c, tolerance))
+        stack = rngs[lo:lo + per_stack]
+        a = np.stack([_fill((n, n), sys_index, rng) for rng in stack])
+        for t in np.flatnonzero(np.linalg.matrix_rank(a) != n).tolist():
+            for _ in range(7):
+                a[t] = _fill((n, n), sys_index, stack[t])
+                if np.linalg.matrix_rank(a[t]) == n:
+                    break
+        # The block-diagonal Gram stack has one independent row per sensor:
+        # sensor i contributes h_i^T h_i, a single nonzero row, so the rank
+        # test starts from m rows. h is squared by the scalar power the
+        # trial always used, which can round unlike numpy's array square.
+        c = np.zeros((len(stack), m, dim))
+        c[:, h_rows, h_rows * n + h_cols] = [
+            [v ** 2 for v in rng.uniform(0.5, 1.5, size=len(h_rows)).tolist()] for rng in stack
+        ]
+        wt = np.stack([_stochastic(w_index, m, rng) for rng in stack]).transpose(0, 2, 1)
+        ranks.append(_rowspace_rank(a, wt, c, tolerance))
     return np.concatenate(ranks)
 
 
@@ -256,10 +254,11 @@ def observability_trial(
     values and consensus weights, then rank-tests the pair of the joint
     transition map (Kronecker product of weights and system) with the
     block-diagonal measurement Grams. Returns (observable, rank). Performs
-    no structural screening, which lets tests probe structurally bad
-    designs directly; a tolerance outside (0, 1) is still refused.
+    no structural screening, so tests can probe bad designs directly; a
+    tolerance outside (0, 1) and an m n over ``VERIFY_MAX_DIM`` are refused.
     """
     check_design_shape(h_pattern, w_pattern, instance.m, instance.n)
+    _check_rank_test(instance.m * instance.n, tolerance)
     rank = int(_trial_ranks(instance, h_pattern, w_pattern, [rng], tolerance)[0])
     return rank == instance.m * instance.n, rank
 
@@ -276,14 +275,14 @@ def verify_design_numeric(
     The design must first pass the structural gate; a design that fails it
     is refused rather than trialed, since the numeric test would only
     confirm the structural verdict. Each trial then draws fresh numeric
-    values from a seed-derived stream and rank-tests the networked pair;
-    the trials of one call run as stacks through one rank test. A sound
-    design passes every trial up to numerical accident; the report records
-    the rank deficit of each failing trial.
+    values from a seed-derived stream and rank-tests the networked pair, in
+    stacks drawn as they run; an m n over ``VERIFY_MAX_DIM`` raises
+    GuardError first. A sound design passes every trial up to numerical
+    accident; the report records the rank deficit of each failing trial.
     """
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
-    _check_tolerance(tolerance)
+    _check_rank_test(instance.m * instance.n, tolerance)
     h = design.measurement_pattern
     w = design.network_pattern
     if not check_distributed_observability_structural(instance, h, w):

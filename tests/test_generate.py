@@ -60,3 +60,25 @@ def test_generate_rejects_bad_shapes():
         generate_instance(0, 1)
     with pytest.raises(ValidationError):
         generate_instance(3, 2, density=1.5)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((5.5, 2), "n and m must be integers, got n=5.5, m=2"),
+        ((4, 2.0), "n and m must be integers, got n=4, m=2.0"),
+        ((True, 1), "n and m must be integers, got n=True, m=1"),
+        ((4, 2, "0.3"), "density must be a real number, got '0.3'"),
+        ((4, 2, None), "density must be a real number, got None"),
+        ((4, 2, True), "density must be a real number, got True"),
+    ],
+)
+def test_generate_rejects_arguments_of_the_wrong_type(args, message):
+    with pytest.raises(ValidationError) as info:
+        generate_instance(*args)
+    assert str(info.value) == message
+
+
+def test_generate_accepts_numpy_scalars():
+    a = generate_instance(np.int64(7), np.int32(3), np.float64(0.4), seed=123)
+    assert serialize_instance(a) == serialize_instance(generate_instance(7, 3, 0.4, seed=123))

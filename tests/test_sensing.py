@@ -242,6 +242,22 @@ def test_every_solver_refuses_negative_and_nan_costs(cost):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "cost, message",
+    [
+        ([["a"]], "assignment cost must hold real numbers, got dtype <U1"),
+        ([[1, 2], [3]], "assignment cost is not an array: "),
+        ([[1 + 2j]], "assignment cost must hold real numbers, got dtype complex128"),
+        ([["1.5"]], "assignment cost must hold real numbers, got dtype <U3"),
+        ([[True]], "assignment cost must hold real numbers, got dtype bool"),
+    ],
+)
+def test_lsap_refuses_costs_that_are_not_real_numbers(cost, message):
+    with pytest.raises(ShapeError) as info:
+        solve_lsap(cost)
+    assert str(info.value).startswith(message)
+
+
 def test_hungarian_equals_brute_force_on_random_matrices():
     rng = np.random.default_rng(2)
     for trial in range(200):

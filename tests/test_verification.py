@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from obsnet import (
+    GuardError,
     InfeasibleError,
     ProblemInstance,
     ShapeError,
@@ -17,6 +18,7 @@ from obsnet import (
     rng_for,
     verify_design_numeric,
 )
+from obsnet import verification
 from obsnet.verification import _STACK_BYTES, _trial_ranks
 from oracles import (
     build_measurement_gram,
@@ -225,6 +227,22 @@ def test_kalman_shape_errors():
         kalman_rank_observable(np.zeros((2, 3)), np.zeros((1, 2)))
     with pytest.raises(ShapeError):
         kalman_rank_observable(np.eye(2), np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize(
+    "a, c, message",
+    [
+        ([[np.nan, 1], [1, 0]], [[1, 0]], "state matrix and output map must be finite"),
+        ([[np.inf, 1], [1, 0]], [[1, 0]], "state matrix and output map must be finite"),
+        ([[1, 1], [1, 0]], [[-np.inf, 0]], "state matrix and output map must be finite"),
+        ([["1", 1], [1, 0]], [[1, 0]], "state matrix must hold real numbers, got dtype <U"),
+        ([[1, 1], [1, 0]], [["x", 0]], "output map must hold real numbers, got dtype <U"),
+    ],
+)
+def test_kalman_refuses_entries_that_are_not_finite_real_numbers(a, c, message):
+    with pytest.raises(ShapeError) as info:
+        kalman_rank_observable(a, c)
+    assert str(info.value).startswith(message)
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf"), 1.0])
@@ -469,3 +487,60 @@ def test_verify_memory_stays_within_one_basis_and_the_stack_budget():
     assert _STACK_BYTES < 8 * dim * dim
     assert report.passes == 3
     assert peak <= 8 * dim * dim + _STACK_BYTES
+
+
+def test_verify_memory_does_not_grow_with_the_trial_count():
+    # each stack is drawn when it runs: at dim 400 every trial is a stack of
+    # its own, so 24 trials peak where 3 do; holding every trial's
+    # realizations at once would grow the peak with the trial count
+    import tracemalloc
+
+    instance = generate_instance(200, 2, 0.3, 5)
+    design = design_instance(instance)
+    peaks = []
+    for trials in (3, 24):
+        tracemalloc.start()
+        try:
+            report = verify_design_numeric(instance, design, trials=trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.passes == trials
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_verify_refuses_a_dimension_past_the_guard_before_drawing():
+    # design-bulk's shape, dim 200,000: one trial's basis would take 320 GB,
+    # so the guard must refuse it before any allocation
+    import time
+
+    instance = generate_instance(2000, 100, 0.3, 12345, True)
+    design = design_instance(instance)
+    start = time.perf_counter()
+    with pytest.raises(GuardError) as info:
+        verify_design_numeric(instance, design)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == (
+        f"numeric verification guard: m*n=200000 exceeds {verification.VERIFY_MAX_DIM}"
+    )
+    assert info.value.exit_code == 3 and info.value.kind == "guard"
+
+
+def test_every_rank_test_entry_point_checks_the_guard(monkeypatch):
+    # dim 6 against a lowered guard: each entry point refuses before it draws
+    instance = generate_instance(3, 2, 0.3, 1)
+    design = design_instance(instance)
+    h, w = design.measurement_pattern, design.network_pattern
+    monkeypatch.setattr(verification, "VERIFY_MAX_DIM", 5)
+    message = "numeric verification guard: m*n=6 exceeds 5"
+    for run in (
+        lambda: verify_design_numeric(instance, design),
+        lambda: observability_trial(instance, h, w, rng_for(0, "guard", 0)),
+        lambda: kalman_rank_observable(np.eye(6), np.ones((1, 6))),
+    ):
+        with pytest.raises(GuardError) as info:
+            run()
+        assert str(info.value) == message
+    monkeypatch.setattr(verification, "VERIFY_MAX_DIM", 6)
+    assert verify_design_numeric(instance, design, trials=2).passes == 2
+    assert kalman_rank_observable(np.eye(6), np.eye(6)) == (True, 6)
