@@ -6,11 +6,19 @@ numeric observability trials, oracle compares against the brute-force
 solvers, export-dot renders an instance for Graphviz. All documents are
 JSON on explicit paths; exit codes are stable: 0 success, 2 infeasible,
 3 guard exceeded, 1 anything else.
+
+``run(argv)`` builds its parser once per process, on its first call, and
+parses every later argv with it; ``build_parser()`` returns a fresh parser
+each time. The parser binds each subcommand to its ``cmd_*`` function at
+that first call, so a test or script that replaces behaviour patches the
+names those functions call (``generate_instance``, ``design_instance``,
+...), not the ``cmd_*`` functions themselves.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -221,10 +229,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building the tree costs more than the pipeline on a small instance;
+    # parsing leaves no state on it, so every call can share one
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 2 means infeasible here, so remap
         return 0 if exc.code in (0, None) else 1

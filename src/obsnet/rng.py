@@ -9,17 +9,26 @@ perturbs the draws of an existing one.
 from __future__ import annotations
 
 import hashlib
+import numbers
 
 import numpy as np
+
+from .errors import ValidationError
 
 
 def derive_seed(seed: int, *names: str | int) -> int:
     """Derive a child seed from ``seed`` and a path of stream names.
 
-    Stable across processes and platforms (unlike ``hash()``).
+    Stable across processes and platforms (unlike ``hash()``). ``seed``
+    must be an integer, numpy integers included and bools refused; anything
+    else is a ValidationError.
     """
+    if type(seed) is not int:  # plain ints, one per trial, skip the slow check
+        if not isinstance(seed, numbers.Integral) or type(seed) is bool:
+            raise ValidationError(f"seed must be an integer, got {seed!r}")
+        seed = int(seed)
     h = hashlib.blake2b(digest_size=8)
-    h.update(str(int(seed)).encode())
+    h.update(str(seed).encode())
     for name in names:
         h.update(b"/")
         h.update(str(name).encode())

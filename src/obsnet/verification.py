@@ -13,7 +13,10 @@ non-generic (or simply wrong) design.
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -98,10 +101,14 @@ def make_row_stochastic(
 # over 128 MiB, and one trial took 20 s at dim 4000, m = 10 (2-core box,
 # one BLAS thread); at m = 2 a dim-2000 trial already takes 10-12 s.
 VERIFY_MAX_DIM = 4096
-# The trials of one call run in stacks whose bases take at most this many
-# bytes together; a trial whose basis alone is larger runs by itself. Larger
-# stacks fall out of cache: at 2 MiB, dim-300 trials paired up ran slower.
+# The trials of one call run in stacks whose bases and generators take at
+# most this many bytes together; a trial whose basis alone is larger runs by
+# itself. Larger stacks fall out of cache: at 2 MiB, dim-300 trials paired
+# up ran slower.
 _STACK_BYTES = 1 << 20
+# What one trial's generator holds (about 0.94 KB by tracemalloc); it counts
+# against the stack budget, so stacks of tiny trials stay within it too.
+_RNG_BYTES = 1 << 10
 
 
 def _check_rank_test(dim: int, tolerance: float) -> None:
@@ -200,28 +207,29 @@ def _trial_ranks(
     instance: ProblemInstance,
     h_pattern: StructuredMatrix,
     w_pattern: StructuredMatrix,
-    rngs: list[np.random.Generator],
+    rngs: Iterable[np.random.Generator],
     tolerance: float,
 ) -> np.ndarray:
     """The networked observability rank of one random realization per
-    stream.
+    stream, taken from ``rngs`` one stack at a time.
 
     Each stream draws, in this order: the system matrix, re-drawn up to
     seven times while numerically singular (a singular draw is non-generic
     and would fail the trial for the wrong reason), the measurement values
     and the consensus weights. The trials run through the stacked rank test
-    in stacks of at most ``_STACK_BYTES`` of basis; each stack is drawn
-    when it runs, so one stack bounds the memory.
+    in stacks of at most ``_STACK_BYTES`` of basis and generators; each
+    stack's generators are taken and drawn when it runs, so one stack bounds
+    the memory when ``rngs`` makes them lazily.
     """
     n, m = instance.n, instance.m
     dim = m * n
     sys_index = _pattern_index(instance.system_pattern)
     h_rows, h_cols = _pattern_index(h_pattern)
     w_index = _pattern_index(w_pattern)
-    per_stack = max(1, _STACK_BYTES // (8 * dim * dim))
+    per_stack = max(1, _STACK_BYTES // (8 * dim * dim + _RNG_BYTES))
+    rngs = iter(rngs)
     ranks = []
-    for lo in range(0, len(rngs), per_stack):
-        stack = rngs[lo:lo + per_stack]
+    while stack := list(islice(rngs, per_stack)):
         a = np.stack([_fill((n, n), sys_index, rng) for rng in stack])
         for t in np.flatnonzero(np.linalg.matrix_rank(a) != n).tolist():
             for _ in range(7):
@@ -279,7 +287,12 @@ def verify_design_numeric(
     stacks drawn as they run; an m n over ``VERIFY_MAX_DIM`` raises
     GuardError first. A sound design passes every trial up to numerical
     accident; the report records the rank deficit of each failing trial.
+    ``trials`` must be an integer, numpy integers included and bools
+    refused, and so must ``seed``; anything else is a ValidationError.
     """
+    if not isinstance(trials, numbers.Integral) or type(trials) is bool:
+        raise ValidationError(f"trials must be an integer, got {trials!r}")
+    trials = int(trials)
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
     _check_rank_test(instance.m * instance.n, tolerance)
@@ -291,7 +304,7 @@ def verify_design_numeric(
             " sensor-component bijection, or link strong connectivity);"
             " numeric trials refused"
         )
-    rngs = [rng_for(seed, "verify", trial) for trial in range(trials)]
+    rngs = (rng_for(seed, "verify", trial) for trial in range(trials))
     deficits = instance.m * instance.n - _trial_ranks(instance, h, w, rngs, tolerance)
     return VerificationReport(
         trials=trials,

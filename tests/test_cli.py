@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -9,13 +10,17 @@ from obsnet import (
     ScopeError,
     ShapeError,
     ValidationError,
+    design_instance,
     generate_instance,
     parse_design,
     parse_instance,
+    serialize_design,
     serialize_instance,
+    verify_design_numeric,
 )
 from obsnet import cli
 from obsnet.cli import run
+from obsnet.graphs import canonical_json
 
 
 def _gen(tmp_path, name="inst.json", n=6, m=3, density=0.4, seed=11, undirected=False):
@@ -327,3 +332,90 @@ def test_usage_errors_exit_one(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "obsnet" in capsys.readouterr().out
+
+
+# --- one parser per process ---------------------------------------------------
+
+
+def test_shared_parser_keeps_no_options_between_calls(tmp_path, capsys):
+    path, instance = _gen(tmp_path)
+    out = tmp_path / "d.json"
+    all_roots = serialize_design(design_instance(instance))
+    assert run(["design", "--in", str(path), "--out", str(out), "--root", "2"]) == 0
+    assert out.read_bytes().decode() != all_roots
+    assert run(["design", "--in", str(path), "--out", str(out)]) == 0
+    assert out.read_bytes().decode() == all_roots
+    capsys.readouterr()
+    assert run(["verify", "--in", str(path), "--design", str(out),
+                "--trials", "3", "--seed", "5", "--tol", "1e-6"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 3
+    assert run(["verify", "--in", str(path), "--design", str(out)]) == 0
+    text = capsys.readouterr().out
+    design = parse_design(all_roots, instance.n, instance.m)
+    assert text == canonical_json(verify_design_numeric(instance, design).to_json_dict())
+    doc = json.loads(text)
+    assert (doc["trials"], doc["tolerance"]) == (20, 1e-08)
+
+
+def _fresh_parse(argv, capsys):
+    """Exit code, stdout and stderr of argv through a parser of its own,
+    for an argv that argparse ends with SystemExit."""
+    with pytest.raises(SystemExit) as info:
+        cli.build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return 0 if info.value.code in (0, None) else 1, captured.out, captured.err
+
+
+def test_usage_errors_and_help_leave_the_shared_parser_as_built(tmp_path, capsys):
+    path, instance = _gen(tmp_path)
+    out = tmp_path / "d.json"
+    expected = serialize_design(design_instance(instance))
+    for argv in (
+        [],
+        ["--help"],
+        ["design", "--help"],
+        ["design"],
+        ["no-such-command"],
+        ["design", "--in", str(path), "--out", str(out), "--root", "1", "--all-roots"],
+        ["verify", "--in", str(path), "--design", str(out), "--trials", "2.5"],
+    ):
+        usual = _fresh_parse(argv, capsys)
+        for _ in range(2):
+            code = run(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == usual, argv
+        out.unlink(missing_ok=True)
+        assert run(["design", "--in", str(path), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert out.read_bytes().decode() == expected
+        assert captured.out.startswith(f"design written to {out}: ") and captured.err == ""
+
+
+def test_build_parser_returns_a_new_parser_each_time():
+    first, second = cli.build_parser(), cli.build_parser()
+    assert first is not second
+    first.set_defaults(func=None)
+    assert second.parse_args(["analyze", "--in", "x"]).func is cli.cmd_analyze
+
+
+def test_run_builds_no_parser_after_its_first_call(monkeypatch, tmp_path, capsys):
+    path, _ = _gen(tmp_path)
+    design = tmp_path / "d.json"
+    assert run(["design", "--in", str(path), "--out", str(design)]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(["design", "--in", str(path), "--out", str(design)]) == 0
+    assert run(["verify", "--in", str(path), "--design", str(design), "--trials", "2"]) == 0
+    assert run(["analyze", "--in", str(path)]) == 0
+    assert run(["design"]) == 1
+    assert run(["--help"]) == 0
+    capsys.readouterr()
+    assert built == []
+    cli.build_parser()  # the count sees a build: one parser and six subcommands
+    assert len(built) == 7

@@ -1,4 +1,15 @@
-from obsnet import derive_seed, rng_for
+import numpy as np
+import pytest
+
+from obsnet import (
+    ValidationError,
+    derive_seed,
+    design_instance,
+    generate_instance,
+    rng_for,
+    serialize_instance,
+    verify_design_numeric,
+)
 
 
 def test_derive_seed_deterministic():
@@ -28,3 +39,26 @@ def test_rng_for_streams_reproduce():
     assert (a == b).all()
     c = rng_for(5, "network").uniform(size=8)
     assert (a != c).any()
+
+
+@pytest.mark.parametrize("seed", ["x", None, 1.5, True, np.bool_(True), np.float64(1.0)])
+def test_seeds_that_are_not_integers_are_refused(seed):
+    # 1.5 was truncated to the stream of seed 1; "x" and None raised bare errors
+    instance = generate_instance(3, 2, 0.3, 1)
+    design = design_instance(instance)
+    for call in (
+        lambda: derive_seed(seed, "verify", 0),
+        lambda: rng_for(seed, "costs"),
+        lambda: generate_instance(3, 2, 0.3, seed),
+        lambda: verify_design_numeric(instance, design, trials=2, seed=seed),
+    ):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == f"seed must be an integer, got {seed!r}"
+
+
+def test_numpy_integer_seeds_give_the_plain_int_streams():
+    assert derive_seed(np.int64(7), "verify", 3) == derive_seed(7, "verify", 3)
+    assert derive_seed(np.uint8(200), "x") == derive_seed(200, "x")
+    a = generate_instance(5, 2, 0.3, np.int32(9))
+    assert serialize_instance(a) == serialize_instance(generate_instance(5, 2, 0.3, 9))

@@ -309,6 +309,24 @@ def test_verify_needs_positive_trials():
         verify_design_numeric(instance, design, trials=0)
 
 
+@pytest.mark.parametrize("trials", [2.5, "3", True, None, np.float64(3.0)])
+def test_verify_refuses_trials_that_are_not_integers(trials):
+    # True ran one trial and reported "trials": true; 2.5 and "3" raised bare TypeErrors
+    instance = generate_instance(2, 1, seed=0)
+    design = design_instance(instance)
+    with pytest.raises(ValidationError) as info:
+        verify_design_numeric(instance, design, trials=trials)
+    assert str(info.value) == f"trials must be an integer, got {trials!r}"
+
+
+def test_verify_takes_numpy_integer_trials_as_plain_ints():
+    instance = generate_instance(3, 2, density=0.4, seed=4)
+    design = design_instance(instance)
+    report = verify_design_numeric(instance, design, trials=np.int64(3), seed=np.int16(1))
+    assert report == verify_design_numeric(instance, design, trials=3, seed=1)
+    assert type(report.trials) is int and report.to_json_dict()["trials"] == 3
+
+
 @pytest.mark.parametrize("tol", [-1.0, float("nan"), 1.5])
 def test_trial_rejects_tolerance_outside_unit_interval(tol):
     # the one-way link design the gate refuses: a tolerance <= 0 would
@@ -507,6 +525,27 @@ def test_verify_memory_does_not_grow_with_the_trial_count():
             tracemalloc.stop()
         assert report.passes == trials
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_verify_memory_does_not_grow_with_thousands_of_trials():
+    # each stack's generators are made when it runs: holding every trial's
+    # generator from the start, about 1 KB each, put 2,000 trials 1.75 MB
+    # over 20. No cohort of this design splits, so every stack peaks at its
+    # bases; a split stack copies its rows and may hold twice as much
+    import tracemalloc
+
+    instance = generate_instance(10, 10, 0.3, 2)
+    design = design_instance(instance)
+    peaks = []
+    for trials in (20, 2000):
+        tracemalloc.start()
+        try:
+            report = verify_design_numeric(instance, design, trials=trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.passes == trials
+    assert peaks[1] <= peaks[0] + 500_000
 
 
 def test_verify_refuses_a_dimension_past_the_guard_before_drawing():
