@@ -31,7 +31,7 @@ from .graphs import (
     parse_design,
     parse_instance,
     serialize_design,
-    serialize_instance,
+    serialize_instance_chunks,
 )
 from .network import brute_force_msss, brute_force_mst
 from .sensing import brute_force_assignment, hungarian_solve
@@ -150,7 +150,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     instance = generate_instance(args.n, args.m, args.density, args.seed)
-    _write(args.out, serialize_instance(instance))
+    with open(args.out, "w", encoding="utf-8") as out:  # the document is never held whole
+        out.writelines(serialize_instance_chunks(instance))
     print(f"instance written to {args.out}")
     return 0
 

@@ -10,6 +10,7 @@ candidate network is strongly connected.
 from __future__ import annotations
 
 import numbers
+from itertools import compress
 
 import numpy as np
 
@@ -27,16 +28,11 @@ def _pick(rng: np.random.Generator, items: list[int]) -> int:
 
 
 def _group_states(rng: np.random.Generator, n: int, groups: int) -> list[list[int]]:
-    sizes = [1] * groups
-    for _ in range(n - groups):
-        sizes[int(rng.integers(0, groups))] += 1
-    order = [int(x) for x in rng.permutation(n)]
-    out: list[list[int]] = []
-    at = 0
-    for size in sizes:
-        out.append(order[at:at + size])
-        at += size
-    return out
+    # each group gets one state, then each other state a uniformly drawn group
+    sizes = np.bincount(rng.integers(0, groups, size=n - groups), minlength=groups) + 1
+    order = rng.permutation(n).tolist()
+    ends = np.cumsum(sizes).tolist()
+    return [order[end - size:end] for size, end in zip(sizes.tolist(), ends)]
 
 
 def _system_pattern(rng: np.random.Generator, n: int, m: int, density: float) -> StructuredMatrix:
@@ -44,16 +40,16 @@ def _system_pattern(rng: np.random.Generator, n: int, m: int, density: float) ->
     children = int(rng.integers(0, extra_max + 1)) if extra_max > 0 else 0
     groups = _group_states(rng, n, m + children)
 
+    # a cycle through each group: the union over groups is a spanning family
+    # of disjoint cycles, hence structural full rank
     nonzeros: set[tuple[int, int]] = set()
     for group in groups:
-        # a cycle through the group: the union over groups is a spanning
-        # family of disjoint cycles, hence structural full rank
-        for a, b in zip(group, group[1:] + group[:1]):
-            nonzeros.add((b, a))  # edge a -> b is pattern entry (b, a)
-        for a in group:
-            for b in group:
-                if (b, a) not in nonzeros and rng.random() < density:
-                    nonzeros.add((b, a))
+        nonzeros.update(zip(group[1:] + group[:1], group))  # edge a -> b is entry (b, a)
+    # then each other edge inside a group with probability density, one coin
+    # per candidate in (group, a, b) order
+    optional = [(b, a) for group in groups for a in group for b in group
+                if (b, a) not in nonzeros]
+    nonzeros.update(compress(optional, (rng.random(len(optional)) < density).tolist()))
 
     # Cross-group edges only run from higher to lower group index, so the
     # groups stay exactly the strongly connected components. The first m
@@ -76,31 +72,27 @@ def _system_pattern(rng: np.random.Generator, n: int, m: int, density: float) ->
 def _network(
     rng: np.random.Generator, m: int, density: float, undirected: bool
 ) -> WeightedDigraph:
-    arcs: dict[tuple[int, int], float] = {}
     if m == 1:
-        return WeightedDigraph(1, arcs)
-    order = [int(x) for x in rng.permutation(m)]
+        return WeightedDigraph(1, {})
+    nodes = np.arange(m)
+    allowed = nodes[:, None] < nodes if undirected else nodes[:, None] != nodes
+    order = rng.permutation(m)
+    chosen = np.zeros((m, m), dtype=bool)
+    chosen[order, np.concatenate((order[1:], order[:1]))] = True  # a directed ring: SC
     if undirected:
-        edges = {
-            (min(u, v), max(u, v))
-            for u, v in zip(order, order[1:] + order[:1])
-        }
-        for u in range(m):
-            for v in range(u + 1, m):
-                if (u, v) not in edges and rng.random() < density:
-                    edges.add((u, v))
-        for (u, v) in sorted(edges):
-            cost = float(rng.uniform(1.0, 10.0))
-            arcs[(u, v)] = cost
-            arcs[(v, u)] = cost
-        return WeightedDigraph(m, arcs)
-    chosen = set(zip(order, order[1:] + order[:1]))  # a directed ring: SC
-    for u in range(m):
-        for v in range(m):
-            if u != v and (u, v) not in chosen and rng.random() < density:
-                chosen.add((u, v))
-    for (u, v) in sorted(chosen):
-        arcs[(u, v)] = float(rng.uniform(1.0, 10.0))
+        chosen |= chosen.T
+    # each other link with probability density, one coin per candidate in
+    # row-major order, then one cost per link in the same order
+    candidates = allowed & ~chosen
+    chosen[candidates] = rng.random(np.count_nonzero(candidates)) < density
+    chosen &= allowed
+    u, v = np.nonzero(chosen)
+    links = zip(u.tolist(), v.tolist(), rng.uniform(1.0, 10.0, size=u.size).tolist())
+    arcs: dict[tuple[int, int], float] = {}
+    for a, b, cost in links:
+        arcs[(a, b)] = cost
+        if undirected:
+            arcs[(b, a)] = cost
     return WeightedDigraph(m, arcs)
 
 

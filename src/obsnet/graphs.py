@@ -34,6 +34,7 @@ __all__ = [
     "canonical_json",
     "parse_instance",
     "serialize_instance",
+    "serialize_instance_chunks",
     "parse_design",
     "serialize_design",
     "export_instance_dot",
@@ -197,11 +198,12 @@ class WeightedDigraph:
 
 def _inf_table(m: int, n: int) -> np.ndarray:
     """An (m, n) sensing-cost table of inf. A size numpy refuses to build
-    (past its dimension or byte limits) breaks the instance rules, so it is
-    a ValidationError rather than numpy's ValueError."""
+    (past its dimension or byte limits) or cannot allocate is a property of
+    the document, so it is a ValidationError rather than numpy's ValueError
+    or MemoryError."""
     try:
         return np.full((m, n), np.inf)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ValidationError(f"a {m}x{n} sensing cost table is too large: {exc}") from exc
 
 
@@ -459,8 +461,35 @@ def canonical_json(doc: Mapping) -> str:
 # Per-item templates as canonical_json lays the items out; %r of a Python
 # float is float.__repr__, which is what json writes for a finite float.
 _PAIR = "    [\n      %d,\n      %d\n    ]"
-_COST = '    {\n      "cost": %r,\n      "sensor": %d,\n      "state": %d\n    }'
 _LINK = '      {\n        "cost": %r,\n        "from": %d,\n        "to": %d\n      }'
+
+# A c record is a per-sensor head, which keeps a %r for the cost, and a
+# per-state tail. The records of a chunk of whole sensor rows join into one
+# template, and one % writes the chunk's costs. A chunk covers about
+# _CHUNK_CELLS table cells (one row when a row is longer), which bounds what
+# the writer holds at once; a small table is one chunk.
+_COST_HEAD = '    {\n      "cost": %%r,\n      "sensor": %d,\n      "state": '
+_COST_TAIL = "%d\n    }"
+_CHUNK_CELLS = 16384
+
+
+def _cost_chunks(table: np.ndarray):
+    """The c block of the (m, n) sensing-cost ``table`` in pieces of one
+    chunk each: a record per finite entry in row-major order, laid out as
+    ``_block`` lays out a list."""
+    m, n = table.shape
+    step = max(1, _CHUNK_CELLS // n)
+    heads = np.array([_COST_HEAD % (i + 1) for i in range(m)], dtype=object)
+    tails = np.array([_COST_TAIL % (j + 1) for j in range(n)], dtype=object)
+    opener = "[\n"
+    for top in range(0, m, step):
+        chunk = table[top:top + step]
+        i, j = np.nonzero(chunk != np.inf)
+        if i.size:
+            template = ",\n".join((heads[i + top] + tails[j]).tolist())
+            yield opener + template % tuple(chunk[i, j].tolist())
+            opener = ",\n"
+    yield "[]" if opener == "[\n" else "\n  ]"
 
 
 def _block(template: str, items, indent: str = "  ") -> str:
@@ -526,14 +555,18 @@ def parse_instance(text: str) -> ProblemInstance:
 def serialize_instance(instance: ProblemInstance) -> str:
     """Canonical JSON for an instance: sorted keys, sensing costs in row-major
     (sensor, state) order with the inf entries left out, links in arc order."""
-    table = instance.sensing_cost
-    i, j = np.nonzero(table != np.inf)
-    costs = zip(table[i, j].tolist(), (i + 1).tolist(), (j + 1).tolist())
+    return "".join(serialize_instance_chunks(instance))
+
+
+def serialize_instance_chunks(instance: ProblemInstance):
+    """``serialize_instance``'s text in pieces, for writing to a file without
+    holding the document: no piece holds more than one chunk of the c block."""
     links = [(float(c), u + 1, v + 1) for (u, v), c in sorted(instance.network.arcs.items())]
     undirected = "true" if instance.network_undirected else "false"
-    return (
-        f'{{\n  "A": {_pair_block(instance.system_pattern)},\n  "c": {_block(_COST, costs)},\n'
-        f'  "m": {instance.m:d},\n  "n": {instance.n:d},\n  "net": {{\n'
+    yield f'{{\n  "A": {_pair_block(instance.system_pattern)},\n  "c": '
+    yield from _cost_chunks(instance.sensing_cost)
+    yield (
+        f',\n  "m": {instance.m:d},\n  "n": {instance.n:d},\n  "net": {{\n'
         f'    "links": {_block(_LINK, links, "    ")},\n    "undirected": {undirected}\n  }}\n}}\n'
     )
 

@@ -15,7 +15,9 @@ the column-checked reader, down to the first error and its message;
 kept as the rank reference for the stacked trials; ``reference_lsap`` is
 the assignment loop it once ran, with a free-column mask and a full
 potential update at every step, kept as the step-for-step reference for the
-buffered loop.
+buffered loop; ``reference_generate_instance`` is the instance generator it
+once ran, one scalar draw per coin, group size and link cost, kept as the
+byte reference for the generator's block draws.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from obsnet import (
     StructuredMatrix,
     ValidationError,
     WeightedDigraph,
+    rng_for,
 )
 from obsnet.graphs import DesignResult
 from obsnet.sensing import _hall_violator, _total_cost
@@ -651,5 +654,98 @@ def reference_parse_instance(text: str) -> ProblemInstance:
         system_pattern=StructuredMatrix(n, n, frozenset(nonzeros)),
         sensing_cost=sensing_cost,
         network=WeightedDigraph(m, arcs),
+        network_undirected=undirected,
+    )
+
+
+def _pick(rng: np.random.Generator, items: list[int]) -> int:
+    return items[int(rng.integers(0, len(items)))]
+
+
+def _reference_group_states(rng: np.random.Generator, n: int, groups: int) -> list[list[int]]:
+    sizes = [1] * groups
+    for _ in range(n - groups):
+        sizes[int(rng.integers(0, groups))] += 1
+    order = [int(x) for x in rng.permutation(n)]
+    out: list[list[int]] = []
+    at = 0
+    for size in sizes:
+        out.append(order[at:at + size])
+        at += size
+    return out
+
+
+def _reference_system_pattern(
+    rng: np.random.Generator, n: int, m: int, density: float
+) -> StructuredMatrix:
+    extra_max = min(n - m, 3)
+    children = int(rng.integers(0, extra_max + 1)) if extra_max > 0 else 0
+    groups = _reference_group_states(rng, n, m + children)
+
+    nonzeros: set[tuple[int, int]] = set()
+    for group in groups:
+        for a, b in zip(group, group[1:] + group[:1]):
+            nonzeros.add((b, a))
+        for a in group:
+            for b in group:
+                if (b, a) not in nonzeros and rng.random() < density:
+                    nonzeros.add((b, a))
+
+    for q in range(m, m + children):
+        added = False
+        for t in range(q):
+            if rng.random() < density:
+                a, b = _pick(rng, groups[q]), _pick(rng, groups[t])
+                nonzeros.add((b, a))
+                added = True
+        if not added:
+            t = int(rng.integers(0, q))
+            a, b = _pick(rng, groups[q]), _pick(rng, groups[t])
+            nonzeros.add((b, a))
+    return StructuredMatrix(n, n, frozenset(nonzeros))
+
+
+def _reference_network(
+    rng: np.random.Generator, m: int, density: float, undirected: bool
+) -> WeightedDigraph:
+    arcs: dict[tuple[int, int], float] = {}
+    if m == 1:
+        return WeightedDigraph(1, arcs)
+    order = [int(x) for x in rng.permutation(m)]
+    if undirected:
+        edges = {
+            (min(u, v), max(u, v))
+            for u, v in zip(order, order[1:] + order[:1])
+        }
+        for u in range(m):
+            for v in range(u + 1, m):
+                if (u, v) not in edges and rng.random() < density:
+                    edges.add((u, v))
+        for (u, v) in sorted(edges):
+            cost = float(rng.uniform(1.0, 10.0))
+            arcs[(u, v)] = cost
+            arcs[(v, u)] = cost
+        return WeightedDigraph(m, arcs)
+    chosen = set(zip(order, order[1:] + order[:1]))
+    for u in range(m):
+        for v in range(m):
+            if u != v and (u, v) not in chosen and rng.random() < density:
+                chosen.add((u, v))
+    for (u, v) in sorted(chosen):
+        arcs[(u, v)] = float(rng.uniform(1.0, 10.0))
+    return WeightedDigraph(m, arcs)
+
+
+def reference_generate_instance(
+    n: int, m: int, density: float = 0.3, seed: int = 0, undirected: bool = False
+) -> ProblemInstance:
+    """``generate_instance`` with the generator's own streams but one scalar
+    draw per coin, group size and link cost, as the library once drew them."""
+    return ProblemInstance(
+        n=n,
+        m=m,
+        system_pattern=_reference_system_pattern(rng_for(seed, "system"), n, m, density),
+        sensing_cost=rng_for(seed, "costs").uniform(1.0, 10.0, size=(m, n)),
+        network=_reference_network(rng_for(seed, "network"), m, density, undirected),
         network_undirected=undirected,
     )

@@ -1,5 +1,6 @@
 import argparse
 import json
+import tracemalloc
 
 import pytest
 
@@ -52,6 +53,37 @@ def test_gen_deterministic_bytes(tmp_path):
     c = tmp_path / "c.json"
     assert run(["gen", "--n", "6", "--m", "3", "--seed", "10", "--out", str(c)]) == 0
     assert a.read_bytes() != c.read_bytes()
+
+
+def test_gen_streams_the_document_to_its_file(tmp_path, capsys):
+    """gen writes the sensing-cost block a chunk at a time: while it writes a
+    17.9 MB document the traced peak stays under 16 MB (it was 74.8 MB when
+    the whole text was built first), and the file holds the joined text."""
+    out = tmp_path / "bulk.json"
+    tracemalloc.start()
+    try:
+        assert run(["gen", "--n", "2000", "--m", "100", "--seed", "1", "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert out.read_text(encoding="utf-8") == serialize_instance(
+        generate_instance(2000, 100, 0.3, 1))
+
+
+def test_unallocatable_sensing_table_is_a_validation_error(tmp_path, capsys):
+    """A 90-byte document whose 2**28 x 2**28 table numpy cannot allocate
+    (2**59 bytes, past every address space, so nothing is touched) exited 1
+    with kind "internal" and numpy's MemoryError text."""
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 268435456, "m": 268435456, "A": [], "c": [],'
+                    ' "net": {"undirected": false, "links": []}}', encoding="utf-8")
+    assert run(["design", "--in", str(path), "--out", str(tmp_path / "d.json")]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "validation"
+    assert error["message"].startswith(
+        "a 268435456x268435456 sensing cost table is too large: ")
+    assert not (tmp_path / "d.json").exists()
 
 
 def test_analyze_reports_structure(tmp_path, capsys):

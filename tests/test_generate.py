@@ -9,7 +9,11 @@ from obsnet import (
     serialize_instance,
 )
 from obsnet.structural import arcs_strongly_connected
-from oracles import has_spanning_cycle_family, parent_components
+from oracles import (
+    has_spanning_cycle_family,
+    parent_components,
+    reference_generate_instance,
+)
 
 
 def test_generated_structure_guarantees():
@@ -82,3 +86,29 @@ def test_generate_rejects_arguments_of_the_wrong_type(args, message):
 def test_generate_accepts_numpy_scalars():
     a = generate_instance(np.int64(7), np.int32(3), np.float64(0.4), seed=123)
     assert serialize_instance(a) == serialize_instance(generate_instance(7, 3, 0.4, seed=123))
+
+
+def _generator_cases():
+    """306 (n, m, density, seed, undirected) cases: m = 1, m = 2 (a two-arc
+    ring leaves the network no candidates), n = m and a spread of m, at
+    densities 0 and 1 (floats and ints) and between, both directions, and a
+    few larger instances with many groups and candidates."""
+    cases = []
+    for k in range(300):
+        n = 1 + k % 23
+        m = min(n, [1, 2, n, 1 + (7 * k) % n][k % 4])
+        density = [0.0, 1.0, 0.3, 0.7, 0.05, 0, 1][k % 7]
+        cases.append((n, m, density, k, (k // 7) % 2 == 0))
+    return cases + [(2000, 100, 0.3, 1, True), (100, 100, 1.0, 3, False),
+                    (300, 40, 0.1, 3, False), (100, 100, 0.5, 4, True),
+                    (60, 2, 0.3, 8, False), (40, 40, 0.0, 9, True)]
+
+
+def test_block_draws_give_the_per_draw_generator_bytes():
+    """The generator draws each loop's coins, group sizes and link costs as
+    one vector; the reference draws them one at a time from the same
+    streams. numpy's Generator gives both the same numbers, so every
+    instance is written byte for byte alike."""
+    for case in _generator_cases():
+        assert (serialize_instance(generate_instance(*case))
+                == serialize_instance(reference_generate_instance(*case))), case

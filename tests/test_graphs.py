@@ -21,7 +21,8 @@ from obsnet import (
     serialize_design,
     serialize_instance,
 )
-from obsnet.graphs import DesignResult
+from obsnet import graphs
+from obsnet.graphs import DesignResult, serialize_instance_chunks
 from oracles import reference_design_json, reference_instance_json
 
 
@@ -559,6 +560,31 @@ def test_generated_instances_write_as_reference(n, m, density, seed, undirected)
 ])
 def test_hand_shaped_instances_write_as_reference(changes):
     _writes_as_reference(dataclasses.replace(small_instance(), **changes))
+
+
+@pytest.mark.parametrize("cells", [1, 7, 13, 20, 10**6])
+def test_cost_block_chunks_write_as_reference(monkeypatch, cells):
+    """The c block is written a chunk of whole sensor rows at a time. Chunks
+    of one row, of rows longer than the chunk, of several rows, of all-inf
+    rows and of the whole table give the reference bytes, and no piece
+    holds more records than its chunk's rows."""
+    monkeypatch.setattr(graphs, "_CHUNK_CELLS", cells)
+    base = generate_instance(7, 6, 0.3, 5)
+    table = base.sensing_cost.copy()
+    table[1:4] = np.inf  # at one row per chunk, three chunks write nothing
+    table[4, ::2] = np.inf
+    table[5, 3] = np.inf
+    for costs in (table, np.full((6, 7), np.inf), base.sensing_cost):
+        instance = dataclasses.replace(base, sensing_cost=costs)
+        _writes_as_reference(instance)
+        rows = max(1, cells // 7)
+        pieces = serialize_instance_chunks(instance)
+        assert max(piece.count('"sensor"') for piece in pieces) <= 7 * rows
+
+
+def test_cost_block_of_several_chunks_writes_as_reference():
+    # 18,000 cells: one full chunk of 54 rows and a last one of 6
+    _writes_as_reference(generate_instance(300, 60, 0.3, 2))
 
 
 scalar_costs = st.one_of(

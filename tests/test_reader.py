@@ -221,11 +221,15 @@ def test_unreadable_documents_are_validation_errors(tmp_path, capsys):
         assert error["message"].startswith("instance document cannot be read: ")
 
 
-@pytest.mark.parametrize("n, m", [(10**30, 1), (2**62, 4)], ids=["dimension", "bytes"])
+@pytest.mark.parametrize("n, m", [(10**30, 1), (2**62, 4), (2**28, 2**28)],
+                         ids=["dimension", "bytes", "allocation"])
 def test_sensing_table_numpy_cannot_build_is_a_validation_error(tmp_path, capsys, n, m):
     """Past numpy's dimension or byte limit, building the (m, n) table raised
-    numpy's ValueError, and the CLI reported it as "internal". Sizes numpy
-    accepts but memory cannot hold are not tried here."""
+    numpy's ValueError, and the CLI reported it as "internal"; so did the
+    MemoryError of a table numpy accepts but cannot allocate. A 2**28 x 2**28
+    table asks for 2**59 bytes, past every address space, so the allocation
+    fails at once and touches no memory. Sizes that could be allocated are
+    not tried here."""
     message = f"a {m}x{n} sensing cost table is too large: "
     text = json.dumps({"n": n, "m": m, "A": [[1, 1]], "c": [],
                        "net": {"undirected": False, "links": []}})
