@@ -46,7 +46,10 @@ __all__ = ["build_parser", "run", "main"]
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _write(path: str, text: str) -> None:

@@ -126,9 +126,15 @@ def generate_instance(
     if not 0.0 <= density <= 1.0:
         raise ValidationError(f"density must lie in [0, 1], got {density}")
 
-    pattern = _system_pattern(rng_for(seed, "system"), n, m, density)
-    sensing_cost = rng_for(seed, "costs").uniform(1.0, 10.0, size=(m, n))
-    network = _network(rng_for(seed, "network"), m, density, undirected)
+    # The (m, n) costs, the largest array, come first, so a size numpy refuses
+    # or cannot allocate fails before any other work; each section draws from
+    # its own stream, so the order changes no draw.
+    try:
+        sensing_cost = rng_for(seed, "costs").uniform(1.0, 10.0, size=(m, n))
+        pattern = _system_pattern(rng_for(seed, "system"), n, m, density)
+        network = _network(rng_for(seed, "network"), m, density, undirected)
+    except (ValueError, MemoryError) as exc:
+        raise ValidationError(f"a {m}x{n} instance is too large to generate: {exc}") from exc
     return ProblemInstance(
         n=n,
         m=m,

@@ -389,7 +389,7 @@ def _load(text: str, what: str) -> dict:
     return doc
 
 
-# Patterns and sensing costs are checked by whole columns (_bulk_cells,
+# Patterns, sensing costs and links are checked by whole columns (_bulk_cells,
 # _bulk_costs). Only when a column check fails are they read again entry by
 # entry, which names the first bad entry in document order.
 
@@ -416,39 +416,45 @@ def _pattern_by_entry(pairs: list, key: str, rows: int, cols: int) -> frozenset:
     return frozenset(nonzeros)
 
 
-def _sensing_costs(entries: list, m: int, n: int) -> np.ndarray:
-    """The (m, n) sensing-cost table of the ``c`` entries, inf where absent."""
-    costs = None
+def _records(entries: list, path: str, fields: tuple[str, str], rows: int, cols: int,
+             duplicate: str, distinct: bool = False) -> tuple:
+    """The 0-based (first, second, cost) columns of a record block: objects
+    whose two index ``fields`` lie in 1..rows and 1..cols, with a "cost".
+    No cell may repeat (``duplicate % cell`` names one), and with
+    ``distinct`` no record's two indices may be equal."""
     if set(map(type, entries)) <= {dict}:
         try:
-            sensors = _int_column([e["sensor"] for e in entries], 1)
-            states = _int_column([e["state"] for e in entries], 1)
-            cells = _bulk_cells(sensors, states, m, n)
-            if cells is not None:
+            first = _int_column([e[fields[0]] for e in entries], 1)
+            second = _int_column([e[fields[1]] for e in entries], 1)
+            cells = _bulk_cells(first, second, rows, cols)
+            if cells is not None and not (distinct and (first == second).any()):
                 costs = _bulk_costs([e["cost"] for e in entries])
+                if costs is not None:
+                    return first, second, costs
         except KeyError:
             pass
-    if costs is None:
-        return _sensing_costs_by_entry(entries, m, n)
-    table = _inf_table(m, n)
-    table[cells] = costs
-    return table
+    records = _records_by_entry(entries, path, fields, rows, cols, duplicate, distinct)
+    first, second = np.array(list(records), dtype=np.int64).reshape(-1, 2).T
+    return first, second, np.fromiter(records.values(), np.float64, len(records))
 
 
-def _sensing_costs_by_entry(entries: list, m: int, n: int) -> np.ndarray:
-    table = _inf_table(m, n)
+def _records_by_entry(entries: list, path: str, fields: tuple[str, str], rows: int, cols: int,
+                      duplicate: str, distinct: bool) -> dict:
+    records: dict[tuple[int, int], float] = {}
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise ValidationError(f"c[{k}]: expected an object, got {entry!r}")
-        i = _index(entry.get("sensor"), m, f"c[{k}].sensor")
-        j = _index(entry.get("state"), n, f"c[{k}].state")
-        cost = _require(entry, "cost", float, f"c[{k}]")
+            raise ValidationError(f"{path}[{k}]: expected an object, got {entry!r}")
+        i = _index(entry.get(fields[0]), rows, f"{path}[{k}].{fields[0]}")
+        j = _index(entry.get(fields[1]), cols, f"{path}[{k}].{fields[1]}")
+        cost = _require(entry, "cost", float, f"{path}[{k}]")
         if not math.isfinite(cost) or cost < 0:
-            raise ValidationError(f"c[{k}].cost: must be finite and >= 0, got {cost}")
-        if table[i, j] != np.inf:
-            raise ValidationError(f"c[{k}]: duplicate entry for sensor {i + 1}, state {j + 1}")
-        table[i, j] = cost
-    return table
+            raise ValidationError(f"{path}[{k}].cost: must be finite and >= 0, got {cost}")
+        if distinct and i == j:
+            raise ValidationError(f"{path}[{k}]: self-link {i + 1} -> {i + 1} is not allowed")
+        if (i, j) in records:
+            raise ValidationError(f"{path}[{k}]: {duplicate % (i + 1, j + 1)}")
+        records[(i, j)] = cost
+    return records
 
 
 def canonical_json(doc: Mapping) -> str:
@@ -512,25 +518,18 @@ def parse_instance(text: str) -> ProblemInstance:
 
     system_pattern = _pattern(doc, "A", n, n, "instance")
 
-    sensing_cost = _sensing_costs(_require(doc, "c", list, "instance"), m, n)
+    entries = _require(doc, "c", list, "instance")
+    sensing_cost = _inf_table(m, n)  # a table too large is named before any entry
+    sensors, states, costs = _records(entries, "c", ("sensor", "state"), m, n,
+                                      "duplicate entry for sensor %d, state %d")
+    sensing_cost[sensors, states] = costs
 
     net_doc = _require(doc, "net", dict, "instance")
     undirected = _require(net_doc, "undirected", bool, "net")
     links = _require(net_doc, "links", list, "net")
-    arcs: dict[tuple[int, int], float] = {}
-    for k, link in enumerate(links):
-        if not isinstance(link, dict):
-            raise ValidationError(f"net.links[{k}]: expected an object, got {link!r}")
-        u = _index(link.get("from"), m, f"net.links[{k}].from")
-        v = _index(link.get("to"), m, f"net.links[{k}].to")
-        cost = _require(link, "cost", float, f"net.links[{k}]")
-        if not math.isfinite(cost) or cost < 0:
-            raise ValidationError(f"net.links[{k}].cost: must be finite and >= 0, got {cost}")
-        if u == v:
-            raise ValidationError(f"net.links[{k}]: self-link {u + 1} -> {u + 1} is not allowed")
-        if (u, v) in arcs:
-            raise ValidationError(f"net.links[{k}]: duplicate link {u + 1} -> {v + 1}")
-        arcs[(u, v)] = cost
+    u, v, costs = _records(links, "net.links", ("from", "to"), m, m,
+                           "duplicate link %d -> %d", distinct=True)
+    arcs = dict(zip(zip(u.tolist(), v.tolist()), costs.tolist()))
     network = WeightedDigraph(m, arcs)  # keeps the document's link order
     bad = network.asymmetric_arc() if undirected else None
     if bad is not None:

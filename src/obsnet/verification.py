@@ -160,18 +160,29 @@ def _rowspace_rank(a: np.ndarray, wt: np.ndarray, c: np.ndarray, tolerance: floa
         # singular values fall, so each trial's fresh rows lead its vt
         fresh = (sing > tolerance * reference[:, None]).sum(axis=1).tolist()
         counts = sorted(set(fresh))
+        parts = []
         for k in counts:
             group = slice(None) if len(counts) == 1 else np.flatnonzero(np.equal(fresh, k))
             if k == 0 or rank + k >= dim:  # nothing new, or a full basis: no further step
                 ranks[ids[group]] = min(rank + k, dim)
-                continue
+            else:
+                parts.append((len(ids[group]), k, group))
+        # The part with the most trials keeps the stack's basis. The others
+        # copy their rows out first; then its trials' rows move down in order,
+        # so it holds the same strides and values as a copy would.
+        parts.sort(key=lambda part: part[0])
+        for p, (t, k, group) in enumerate(parts):
             part_ids, part_a, part_wt, part_ref = ids[group], a[group], wt[group], reference[group]
-            part_basis = basis
-            if len(counts) > 1:  # a cohort of its own, with a copy of its rows
-                part_basis = np.empty((len(part_ids), dim, dim))
+            if p < len(parts) - 1:
+                part_basis = np.empty((t, dim, dim))
                 part_basis[:, :rank] = basis[group, :rank]
+            else:
+                if len(counts) > 1:
+                    for to, source in enumerate(group.tolist()):
+                        basis[to, :rank] = basis[source, :rank]
+                part_basis = basis[:t]
             part_basis[:, rank:rank + k] = vt[group, :k]
-            rows, t = part_basis[:, rank:rank + k], len(part_ids)
+            rows = part_basis[:, rank:rank + k]
             x = (rows.reshape(t, k * m, n) @ part_a).reshape(t, k, m, n)
             frontier = (part_wt[:, None] @ x).reshape(t, k, dim)
             cohorts.append((part_ids, part_a, part_wt, part_basis, part_ref, rank + k, frontier))

@@ -86,6 +86,35 @@ def test_unallocatable_sensing_table_is_a_validation_error(tmp_path, capsys):
     assert not (tmp_path / "d.json").exists()
 
 
+def test_gen_of_a_size_numpy_cannot_allocate_is_a_validation_error(tmp_path, capsys):
+    """gen --n 100000 --m 100000 exited 1 with kind "internal" and numpy's
+    MemoryError text. At 2**28 x 2**28 the cost table asks for 2**59 bytes,
+    past every address space, so it fails at once and touches no memory."""
+    out = tmp_path / "huge.json"
+    assert run(["gen", "--n", "268435456", "--m", "268435456", "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "validation"
+    assert error["message"].startswith("a 268435456x268435456 instance is too large to generate: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["design", "analyze", "verify"])
+def test_a_document_that_is_not_utf8_is_a_validation_error(tmp_path, capsys, command):
+    """A byte 0xff in a document exited 1 with kind "internal" and the codec's
+    text; verify reads the broken file as its design, the others as the
+    instance."""
+    path, _ = _gen(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"n": 1, "m": 1, "note": "\xff"}')
+    argv = {"design": ["design", "--in", str(bad), "--out", str(tmp_path / "d.json")],
+            "analyze": ["analyze", "--in", str(bad)],
+            "verify": ["verify", "--in", str(path), "--design", str(bad)]}[command]
+    assert run(argv) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "validation"
+    assert error["message"].startswith(f"{bad} is not UTF-8 text: ")
+
+
 def test_analyze_reports_structure(tmp_path, capsys):
     path, instance = _gen(tmp_path)
     assert run(["analyze", "--in", str(path)]) == 0

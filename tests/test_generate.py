@@ -66,6 +66,14 @@ def test_generate_rejects_bad_shapes():
         generate_instance(3, 2, density=1.5)
 
 
+def test_generate_names_a_size_numpy_cannot_allocate():
+    # the (m, n) costs are drawn first: 2**59 bytes fail at once, before the
+    # pattern's arrays of n states
+    with pytest.raises(ValidationError, match="a 268435456x268435456 instance is too large"
+                                              " to generate: "):
+        generate_instance(2**28, 2**28)
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

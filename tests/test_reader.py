@@ -1,5 +1,5 @@
-"""The instance reader checks its A and c lists by whole columns and reads
-them again entry by entry only to name an error. Against the reference
+"""The instance reader checks its A, c and net.links lists by whole columns
+and reads them again entry by entry only to name an error. Against the reference
 reader, which reads every entry in turn: the same instance from a valid
 document, and the same exception and message from a broken one."""
 
@@ -68,32 +68,47 @@ COST_BREAKS = [-1.0, -1, math.nan, math.inf, -math.inf, True, "1", None, MISSING
 ENTRY_BREAKS = [5, None, "x", 1.5, [1], [1, 2, 3], {"row": 1}, [1, 2], {"sensor": 1}]
 
 
+# per list: the entry a break lands on when the list is empty, and each index
+# field with the count it may not pass
+FIELDS = {
+    "A": ([1, 1], {0: "n", 1: "n"}),
+    "c": ({"sensor": 1, "state": 1, "cost": 1.0}, {"sensor": "m", "state": "n"}),
+    "links": ({"from": 1, "to": 2, "cost": 1.0}, {"from": "m", "to": "m"}),
+}
+
+
 def _corrupt(data, doc) -> None:
-    """Break one entry of A or c in place, or duplicate one."""
-    key = data.draw(st.sampled_from(["A", "c"]))
-    entries = doc[key]
+    """Break one entry of A, c or net.links in place, duplicate one, or
+    make a link a self-link."""
+    key = data.draw(st.sampled_from(["A", "c", "links"]))
+    entries = doc["net"]["links"] if key == "links" else doc[key]
+    first, bounds = FIELDS[key]
+    fields = list(bounds)
     if not entries:  # give the break an entry to land on
-        entries.append([1, 1] if key == "A" else {"sensor": 1, "state": 1, "cost": 1.0})
+        entries.append(json.loads(json.dumps(first)))
     k = data.draw(st.integers(0, len(entries) - 1))
     well_formed = (isinstance(entries[k], list) and len(entries[k]) == 2 if key == "A"
-                   else isinstance(entries[k], dict) and {"sensor", "state"} <= entries[k].keys())
-    how = data.draw(st.sampled_from(["index", "cost", "entry", "duplicate"]))
+                   else isinstance(entries[k], dict) and set(fields) <= entries[k].keys())
+    how = data.draw(st.sampled_from(["index", "cost", "entry", "duplicate"]
+                                    + ["self-link"] * (key == "links")))
     if how == "entry" or not well_formed:
         entries[k] = data.draw(st.sampled_from(ENTRY_BREAKS))
     elif how == "duplicate":
         copy = json.loads(json.dumps(entries[k]))
         entries.insert(data.draw(st.integers(0, len(entries))), copy)
-    elif how == "cost" and key == "c":
+    elif how == "self-link":
+        entries[k]["to"] = entries[k]["from"]
+    elif how == "cost" and key != "A":
         value = data.draw(st.sampled_from(COST_BREAKS))
         if value is MISSING:
             entries[k].pop("cost", None)
         else:
             entries[k]["cost"] = value
     else:
-        field = data.draw(st.sampled_from([0, 1] if key == "A" else ["sensor", "state"]))
+        field = data.draw(st.sampled_from(fields))
         value = data.draw(st.sampled_from(INDEX_BREAKS))
         if value is PAST:
-            value = doc["m"] + 1 if field == "sensor" else doc["n"] + 1
+            value = doc[bounds[field]] + 1
         if value is MISSING:
             del entries[k][field]
         else:
@@ -113,15 +128,15 @@ def _outcome(read, text: str):
 def _reads_as_reference(text: str) -> None:
     """Same outcome as the reference reader; a valid document never takes
     the per-entry path."""
-    with mock.patch.object(graphs, "_sensing_costs_by_entry",
-                           wraps=graphs._sensing_costs_by_entry) as costs_by_entry, \
+    with mock.patch.object(graphs, "_records_by_entry",
+                           wraps=graphs._records_by_entry) as records_by_entry, \
          mock.patch.object(graphs, "_pattern_by_entry",
                            wraps=graphs._pattern_by_entry) as pattern_by_entry:
         got = _outcome(graphs.parse_instance, text)
     want = _outcome(reference_parse_instance, text)
     assert got == want
     if not isinstance(want[0], type):
-        assert not costs_by_entry.called and not pattern_by_entry.called
+        assert not records_by_entry.called and not pattern_by_entry.called
 
 
 @settings(max_examples=400, deadline=None)
@@ -159,6 +174,15 @@ def test_a_duplicate_after_thousands_of_entries_is_named(at):
     assert str(info.value) == (
         f"c[6000]: duplicate entry for sensor {entry['sensor']}, state {entry['state']}"
     )
+
+
+def test_a_self_link_after_thousands_of_links_is_named():
+    doc = json.loads(serialize_instance(generate_instance(100, 100, 1.0, 5)))
+    assert len(doc["net"]["links"]) == 9900
+    doc["net"]["links"].append({"from": 1, "to": 1, "cost": 1.0})
+    with pytest.raises(ValidationError) as info:
+        graphs.parse_instance(json.dumps(doc))
+    assert str(info.value) == "net.links[9900]: self-link 1 -> 1 is not allowed"
 
 
 def _edit(path, value):

@@ -531,7 +531,7 @@ def test_verify_memory_does_not_grow_with_thousands_of_trials():
     # each stack's generators are made when it runs: holding every trial's
     # generator from the start, about 1 KB each, put 2,000 trials 1.75 MB
     # over 20. No cohort of this design splits, so every stack peaks at its
-    # bases; a split stack copies its rows and may hold twice as much
+    # bases; a split stack also holds copies of its smaller parts' rows
     import tracemalloc
 
     instance = generate_instance(10, 10, 0.3, 2)
@@ -546,6 +546,35 @@ def test_verify_memory_does_not_grow_with_thousands_of_trials():
             tracemalloc.stop()
         assert report.passes == trials
     assert peaks[1] <= peaks[0] + 500_000
+
+
+def test_a_stack_whose_cohorts_split_holds_one_basis(monkeypatch):
+    # 480 trials of this design run as 40 stacks of 12 at dim 100, each with
+    # a 960 KB basis. When every part of a split copied its rows out of the
+    # stack's basis, 24 stacks peaked over 1.5 MB and one at 2.67 MB; the part
+    # with the most trials now keeps the stack's basis
+    import tracemalloc
+
+    instance = generate_instance(20, 5, 0.3, 4)
+    design = design_instance(instance)
+    basis_bytes = 8 * (instance.n * instance.m) ** 2
+    rank_test = verification._rowspace_rank
+    peaks = []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return rank_test(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(verification, "_rowspace_rank", traced)
+    report = verify_design_numeric(instance, design, trials=480)
+    assert report.to_json_dict() == {
+        "trials": 480, "passes": 480, "rank_deficits": [], "tolerance": 1e-8}
+    assert len(peaks) == 40
+    assert max(peaks) < 2 * 12 * basis_bytes
 
 
 def test_verify_refuses_a_dimension_past_the_guard_before_drawing():
