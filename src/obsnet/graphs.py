@@ -196,13 +196,13 @@ class WeightedDigraph:
         return None
 
 
-def _inf_table(m: int, n: int) -> np.ndarray:
-    """An (m, n) sensing-cost table of inf. A size numpy refuses to build
-    (past its dimension or byte limits) or cannot allocate is a property of
-    the document, so it is a ValidationError rather than numpy's ValueError
-    or MemoryError."""
+def _new_table(m: int, n: int, source: np.ndarray | None = None) -> np.ndarray:
+    """A fresh (m, n) sensing-cost table: a copy of ``source``, or all inf.
+    A size numpy refuses to build (past its dimension or byte limits) or
+    cannot allocate is a property of the document, so it is a
+    ValidationError rather than numpy's ValueError or MemoryError."""
     try:
-        return np.full((m, n), np.inf)
+        return np.full((m, n), np.inf) if source is None else source.copy()
     except (ValueError, MemoryError) as exc:
         raise ValidationError(f"a {m}x{n} sensing cost table is too large: {exc}") from exc
 
@@ -223,7 +223,7 @@ def real_array(values, what: str, error: type[ValidationError | ShapeError]) -> 
 def _cost_table(costs, m: int, n: int) -> np.ndarray:
     """Read-only (m, n) copy of the sensing costs, inf where forbidden."""
     if isinstance(costs, Mapping):
-        table = _inf_table(m, n)
+        table = _new_table(m, n)
         cells = _bulk_pairs(costs, tuple, m, n, 0)
         values = None if cells is None else _bulk_costs(costs.values())
         if values is not None:
@@ -233,10 +233,11 @@ def _cost_table(costs, m: int, n: int) -> np.ndarray:
             _index_pairs(costs, m, n, "sensing cost entry", "table")  # numpy ints index as well
             entries = costs.items()
     else:
-        table = real_array(costs, "sensing cost", ValidationError).copy()  # frozen below
+        table = real_array(costs, "sensing cost", ValidationError)
         if table.shape != (m, n):
             shape = "x".join(map(str, table.shape))
             raise ShapeError(f"sensing cost is {shape}, expected {m}x{n}")
+        table = _new_table(m, n, table)  # frozen below
         # inf forbids a pair; the first NaN or negative entry breaks the cost rule
         bad = np.flatnonzero(np.isnan(table) | (table < 0))[:1]
         entries = [(divmod(int(k), n), float(table.flat[k])) for k in bad]
@@ -519,7 +520,7 @@ def parse_instance(text: str) -> ProblemInstance:
     system_pattern = _pattern(doc, "A", n, n, "instance")
 
     entries = _require(doc, "c", list, "instance")
-    sensing_cost = _inf_table(m, n)  # a table too large is named before any entry
+    sensing_cost = _new_table(m, n)  # a table too large is named before any entry
     sensors, states, costs = _records(entries, "c", ("sensor", "state"), m, n,
                                       "duplicate entry for sensor %d, state %d")
     sensing_cost[sensors, states] = costs

@@ -4,8 +4,9 @@ Undirected candidate networks reduce to a minimum spanning tree (solved
 exactly with Prim's algorithm). Directed networks are the minimum spanning
 strong subgraph problem, which is NP-hard; the polynomial route fixes a root
 and takes the union of a minimum out-branching and a minimum in-branching,
-which costs at most twice the optimum. Exact brute-force oracles back both
-routes for small cases.
+which costs at most twice the optimum. Exact oracles back both routes:
+Kruskal's algorithm for the tree, and a guarded brute-force search for
+small directed networks.
 
 Branchings are taken on strongly connected networks only: there one
 root-free contraction per direction serves every root, and each root's
@@ -16,7 +17,6 @@ and the union solvers alike.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,11 +110,16 @@ def mst_solve(net: WeightedDigraph) -> NetworkDesign:
             f"candidate network is disconnected: no links cross the cut"
             f" between sensors {reached} and the rest"
         )
-    selected = frozenset((u, v) for (u, v) in tree) | frozenset((v, u) for (u, v) in tree)
+    return _tree_design(net, tree, "mst")
+
+
+def _tree_design(net: WeightedDigraph, tree: list[Arc], method: str) -> NetworkDesign:
+    """An exact design selecting every tree edge (u < v) in both directions."""
+    selected = frozenset(tree) | frozenset((v, u) for (u, v) in tree)
     return NetworkDesign(
         selected_arcs=selected,
         total_cost=_arcs_cost(net, selected),
-        method="mst",
+        method=method,
         root=None,
         gap_bound=0.0,
         tree_cost=float(sum(float(net.arcs[e]) for e in sorted(tree))),
@@ -385,47 +390,27 @@ def brute_force_msss(net: WeightedDigraph) -> NetworkDesign:
 
 
 def brute_force_mst(net: WeightedDigraph) -> NetworkDesign:
-    """Exact oracle for the undirected case: enumerate all spanning trees."""
+    """Exact oracle for the undirected case, independent of Prim's
+    ``mst_solve``: Kruskal's algorithm (Kruskal 1956). Each edge is taken
+    once, in (cost, u, v) order, and kept when it joins two trees of a
+    union-find forest."""
     if net.asymmetric_arc() is not None:
         raise ValidationError("spanning-tree oracle needs a symmetric network")
     m = net.node_count
-    edges = sorted({(min(u, v), max(u, v)) for (u, v) in net.arcs})
-    if len(edges) > BRUTE_FORCE_MAX_ARCS:
-        raise GuardError(
-            f"brute-force tree guard: {len(edges)} edges exceed {BRUTE_FORCE_MAX_ARCS}"
-        )
-    best_cost = float("inf")
-    best_tree: tuple[Arc, ...] | None = None
-    for combo in itertools.combinations(edges, m - 1):
-        parent = list(range(m))
+    parent = list(range(m))
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-        joined = 0
-        for (u, v) in combo:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                joined += 1
-        if joined != m - 1:
-            continue
-        cost = float(sum(float(net.arcs[e]) for e in combo))
-        if cost < best_cost or (cost == best_cost and
-                                (best_tree is None or combo < best_tree)):
-            best_cost = cost
-            best_tree = combo
-    if best_tree is None:
+    tree: list[Arc] = []
+    for _, u, v in sorted((c, u, v) for (u, v), c in net.arcs.items() if u < v):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            tree.append((u, v))
+    if len(tree) < m - 1:
         raise InfeasibleError("candidate network is disconnected: no spanning tree exists")
-    selected = frozenset(best_tree) | frozenset((v, u) for (u, v) in best_tree)
-    return NetworkDesign(
-        selected_arcs=selected,
-        total_cost=_arcs_cost(net, selected),
-        method="brute-force",
-        root=None,
-        gap_bound=0.0,
-        tree_cost=best_cost,
-    )
+    return _tree_design(net, tree, "brute-force")

@@ -107,7 +107,8 @@ def test_criterion_2_sensing_reduction_soundness():
     _verdict(2, matched == 200, f"{matched}/200 sensing costs equal the exhaustive optimum")
 
 
-def _random_symmetric_net(rng: np.random.Generator, m: int) -> WeightedDigraph:
+def _random_symmetric_net(rng: np.random.Generator, m: int,
+                          max_edges: int = 20) -> WeightedDigraph:
     arcs: dict[tuple[int, int], float] = {}
     order = [int(v) for v in rng.permutation(m)]
     for k in range(1, m):
@@ -117,7 +118,7 @@ def _random_symmetric_net(rng: np.random.Generator, m: int) -> WeightedDigraph:
         arcs[(v, u)] = c
     for u in range(m):
         for v in range(u + 1, m):
-            if (u, v) not in arcs and rng.random() < 0.35 and len(arcs) // 2 < 20:
+            if (u, v) not in arcs and rng.random() < 0.35 and len(arcs) // 2 < max_edges:
                 c = float(rng.uniform(1.0, 10.0))
                 arcs[(u, v)] = c
                 arcs[(v, u)] = c
@@ -126,14 +127,16 @@ def _random_symmetric_net(rng: np.random.Generator, m: int) -> WeightedDigraph:
 
 def test_criterion_3_mst_exactness():
     rng = np.random.default_rng(303)
-    for k in range(200):
-        m = 2 + k % 6
-        net = _random_symmetric_net(rng, m)
+    nets = [_random_symmetric_net(rng, 2 + k % 6) for k in range(200)]
+    # 12 to 34 sensors: more than 20 edges, at most 200
+    nets += [_random_symmetric_net(rng, 12 + k % 23, max_edges=200) for k in range(46)]
+    assert all(len(net.arcs) // 2 > 20 for net in nets[200:])
+    for net in nets:
         fast = mst_solve(net)
         slow = brute_force_mst(net)
         assert fast.total_cost == slow.total_cost
         assert fast.selected_arcs == slow.selected_arcs
-    _verdict(3, True, "200/200 spanning trees equal the enumeration optimum")
+    _verdict(3, True, f"{len(nets)}/{len(nets)} spanning trees equal the Kruskal optimum")
 
 
 def _random_sc_digraph(rng: np.random.Generator, m: int, max_arcs: int) -> WeightedDigraph:

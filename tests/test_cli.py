@@ -178,7 +178,7 @@ def test_design_exact_flag(tmp_path, capsys):
     assert "(exact)" in capsys.readouterr().out
 
 
-def test_design_exact_guard_exit_code(tmp_path, capsys):
+def test_design_exact_guard_exit_code(monkeypatch, tmp_path, capsys):
     path, instance = _gen(tmp_path, n=10, m=8, density=0.9, seed=3)
     assert len(instance.network.arcs) > 20
     out = tmp_path / "d.json"
@@ -186,6 +186,14 @@ def test_design_exact_guard_exit_code(tmp_path, capsys):
     assert code == 3
     assert _stderr_kind(capsys) == "guard"
     assert not out.exists()
+
+    # oracle refuses the same network before it scans the m! assignments
+    def scan(matrix):
+        raise AssertionError("brute_force_assignment ran")
+
+    monkeypatch.setattr(cli, "brute_force_assignment", scan)
+    assert run(["oracle", "--in", str(path)]) == 3
+    assert _stderr_kind(capsys) == "guard"
 
 
 def test_verify_reports_all_passes(tmp_path, capsys):
@@ -271,11 +279,14 @@ def test_oracle_agreement(tmp_path, capsys):
 
 
 def test_oracle_undirected_is_exact(tmp_path, capsys):
-    path, _ = _gen(tmp_path, n=5, m=4, density=0.3, seed=12, undirected=True)
-    assert run(["oracle", "--in", str(path)]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["networking"]["method"] == "mst"
-    assert doc["networking"]["gap"] == 0.0
+    for n, m, density, seed in [(5, 4, 0.3, 12), (12, 9, 0.7, 2)]:
+        path, instance = _gen(tmp_path, n=n, m=m, density=density, seed=seed, undirected=True)
+        assert run(["oracle", "--in", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["networking"]["method"] == "mst"
+        assert doc["networking"]["gap"] == 0.0
+    # the spanning-tree oracle has no size guard: the last network has 31 edges
+    assert len(instance.network.arcs) == 2 * 31
 
 
 def test_oracle_single_sensor_costs_nothing(tmp_path, capsys):

@@ -102,7 +102,24 @@ def test_undirected_solvers_name_the_symmetry_rule(solve, message, arcs):
     assert str(info.value) == message
 
 
-def test_mst_matches_tree_enumeration():
+def test_mst_matches_kruskal():
+    nx = pytest.importorskip("networkx")
+
+    def check(m, edges):
+        net = symmetric(m, edges)
+        fast = mst_solve(net)
+        slow = brute_force_mst(net)
+        assert fast.total_cost == slow.total_cost
+        assert fast.tree_cost == slow.tree_cost
+        assert arcs_strongly_connected(m, fast.selected_arcs)
+        if len(set(edges.values())) == len(edges):  # distinct costs: one minimum tree
+            assert fast.selected_arcs == slow.selected_arcs
+            g = nx.Graph()
+            g.add_nodes_from(range(m))
+            g.add_weighted_edges_from((u, v, c) for (u, v), c in edges.items())
+            tree = {(min(e), max(e)) for e in nx.minimum_spanning_tree(g).edges}
+            assert slow.selected_arcs == frozenset(tree) | {(v, u) for (u, v) in tree}
+
     rng = np.random.default_rng(13)
     for _ in range(120):
         m = int(rng.integers(2, 8))
@@ -114,12 +131,25 @@ def test_mst_matches_tree_enumeration():
             for v in range(u + 1, m):
                 if (u, v) not in edges and rng.random() < 0.4:
                     edges[(u, v)] = float(rng.integers(1, 15))
-        net = symmetric(m, edges)
-        fast = mst_solve(net)
-        slow = brute_force_mst(net)
-        assert fast.total_cost == slow.total_cost
-        assert fast.tree_cost == slow.tree_cost
-        assert arcs_strongly_connected(m, fast.selected_arcs)
+        check(m, edges)
+
+    # 21 to 200 edges; odd draws have distinct costs (one minimum tree),
+    # even ones integer costs with ties
+    rng = np.random.default_rng(17)
+    for k in range(60):
+        m = int(rng.integers(8, 30))
+        count = min(int(rng.integers(21, 201)), m * (m - 1) // 2)
+        order = [int(x) for x in rng.permutation(m)]
+        pairs = [(order[i], order[int(rng.integers(0, i))]) for i in range(1, m)]
+        others = [(u, v) for u in range(m) for v in range(u + 1, m)]
+        pairs += [others[i] for i in rng.permutation(len(others))]
+        edges = {}
+        for u, v in pairs:
+            if len(edges) < count:
+                cost = rng.uniform(1.0, 10.0) if k % 2 else rng.integers(1, 15)
+                edges.setdefault((min(u, v), max(u, v)), float(cost))
+        assert 20 < len(edges) <= 200
+        check(m, edges)
 
 
 # --- branchings --------------------------------------------------------------
@@ -410,13 +440,10 @@ def test_brute_force_guard_trips():
         brute_force_msss(WeightedDigraph(6, arcs6))
 
 
-def test_brute_force_mst_guard_and_disconnection():
-    edges = {(u, v): 1.0 for u in range(7) for v in range(u + 1, 7)}
-    assert len(edges) == 21
-    with pytest.raises(GuardError):
-        brute_force_mst(symmetric(7, edges))
-    with pytest.raises(InfeasibleError):
+def test_brute_force_mst_disconnection():
+    with pytest.raises(InfeasibleError) as info:
         brute_force_mst(symmetric(3, {(0, 1): 1.0}))
+    assert str(info.value) == "candidate network is disconnected: no spanning tree exists"
 
 
 def test_total_cost_accumulation_is_stable():

@@ -5,13 +5,17 @@ document, and the same exception and message from a broken one."""
 
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import obsnet
 from obsnet import (
     ObsnetError,
     ProblemInstance,
@@ -268,3 +272,57 @@ def test_sensing_table_numpy_cannot_build_is_a_validation_error(tmp_path, capsys
     error = json.loads(capsys.readouterr().err)["error"]
     assert error["kind"] == "validation"
     assert error["message"].startswith(message)
+
+
+# Runs one route to a sensing-table copy under an address-space cap, and
+# prints the exception it ends with.
+TABLE_COPY_CHILD = """
+import json, resource, sys
+from obsnet import generate, graphs
+
+def cap(room):
+    # the process may map ``room`` bytes more than it has mapped now
+    with open("/proc/self/status") as status:
+        mapped = next(int(line.split()[1]) * 1024 for line in status
+                      if line.startswith("VmSize:"))
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (mapped + room, hard))
+
+route, m, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+table = 8 * m * n
+try:
+    if route == "parse":
+        text = json.dumps({"n": n, "m": m, "A": [[1, 1]], "c": [],
+                           "net": {"undirected": False, "links": []}})
+        cap(table * 3 // 2)  # the parsed table fits, its copy does not
+        graphs.parse_instance(text)
+    else:
+        make = generate.ProblemInstance
+
+        def capped(**fields):
+            cap(table // 2)  # the drawn table is made; its copy does not fit
+            return make(**fields)
+
+        generate.ProblemInstance = capped
+        generate.generate_instance(n, m, 0.0, 1)
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc and caps RLIMIT_AS")
+@pytest.mark.parametrize("route, m, n", [("parse", 1, 5_000_000), ("generate", 1000, 5000)])
+def test_sensing_table_copy_that_cannot_be_allocated_is_a_validation_error(route, m, n):
+    """ProblemInstance keeps its own copy of an array of sensing costs, and
+    parse_instance and generate_instance each hand it a table they have just
+    built. A copy that memory could not hold raised numpy's MemoryError, which
+    the CLI reported as "internal". A child process caps its address space so
+    that the first 40 MB table fits and its copy does not; a table past
+    glibc's 32 MiB mmap threshold is always mapped afresh, never taken from
+    freed heap."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(obsnet.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", TABLE_COPY_CHILD, route, str(m), str(n)],
+                           capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert child.stdout.startswith(
+        f"ValidationError a {m}x{n} sensing cost table is too large: Unable to allocate")
