@@ -197,27 +197,34 @@ class WeightedDigraph:
 
 
 def _new_table(m: int, n: int, source: np.ndarray | None = None) -> np.ndarray:
-    """A fresh (m, n) sensing-cost table: a copy of ``source``, or all inf.
-    A size numpy refuses to build (past its dimension or byte limits) or
-    cannot allocate is a property of the document, so it is a
+    """A fresh (m, n) sensing-cost table: a float64 copy of ``source``, or
+    all inf. A size numpy refuses to build (past its dimension or byte
+    limits) or cannot allocate is a property of the document, so it is a
     ValidationError rather than numpy's ValueError or MemoryError."""
     try:
-        return np.full((m, n), np.inf) if source is None else source.copy()
+        return np.full((m, n), np.inf) if source is None else source.astype(np.float64, order="C")
     except (ValueError, MemoryError) as exc:
         raise ValidationError(f"a {m}x{n} sensing cost table is too large: {exc}") from exc
 
 
-def real_array(values, what: str, error: type[ValidationError | ShapeError]) -> np.ndarray:
-    """``values`` as a float64 array, not copied if it already is one. It
-    must be an array of int, uint or float: bool, complex, str, object and
-    ragged input raise ``error``."""
+def _real_values(values, what: str, error: type[ValidationError | ShapeError]) -> np.ndarray:
+    """``values`` as an array of int, uint or float, not copied if it
+    already is one: bool, complex, str, object and ragged input raise
+    ``error``."""
     try:
         table = np.asarray(values)
     except ValueError as exc:
         raise error(f"{what} is not an array: {exc}") from exc
     if table.dtype.kind not in "iuf":
         raise error(f"{what} must hold real numbers, got dtype {table.dtype}")
-    return table.astype(np.float64, copy=False)
+    return table
+
+
+def real_array(values, what: str, error: type[ValidationError | ShapeError]) -> np.ndarray:
+    """``values`` as a float64 array, not copied if it already is one. It
+    must be an array of int, uint or float: bool, complex, str, object and
+    ragged input raise ``error``."""
+    return _real_values(values, what, error).astype(np.float64, copy=False)
 
 
 def _cost_table(costs, m: int, n: int) -> np.ndarray:
@@ -233,14 +240,19 @@ def _cost_table(costs, m: int, n: int) -> np.ndarray:
             _index_pairs(costs, m, n, "sensing cost entry", "table")  # numpy ints index as well
             entries = costs.items()
     else:
-        table = real_array(costs, "sensing cost", ValidationError)
+        table = _real_values(costs, "sensing cost", ValidationError)
         if table.shape != (m, n):
             shape = "x".join(map(str, table.shape))
             raise ShapeError(f"sensing cost is {shape}, expected {m}x{n}")
-        table = _new_table(m, n, table)  # frozen below
-        # inf forbids a pair; the first NaN or negative entry breaks the cost rule
-        bad = np.flatnonzero(np.isnan(table) | (table < 0))[:1]
-        entries = [(divmod(int(k), n), float(table.flat[k])) for k in bad]
+        table = _new_table(m, n, table)  # converted and copied at once; frozen below
+        entries = ()
+        # inf forbids a pair. A NaN or negative entry breaks the cost rule: min
+        # carries a NaN through and allocates nothing, so only a table that
+        # breaks it is scanned, a row at a time, for its first bad entry.
+        if not table.min() >= 0:
+            i = next(i for i, row in enumerate(table) if not row.min() >= 0)
+            j = int(np.flatnonzero(~(table[i] >= 0))[0])
+            entries = [((i, j), float(table[i, j]))]
     for (i, j), cost in entries:
         table[i, j] = _cost_value(cost, "sensing cost for sensor %d, state %d", i + 1, j + 1)
     table.flags.writeable = False
@@ -391,8 +403,58 @@ def _load(text: str, what: str) -> dict:
 
 
 # Patterns, sensing costs and links are checked by whole columns (_bulk_cells,
-# _bulk_costs). Only when a column check fails are they read again entry by
-# entry, which names the first bad entry in document order.
+# _bulk_costs). The c records and the links reach their checks as column
+# lists that _take_records fills while json decodes the document. Only when a
+# column check fails, or the document is not shaped for the taken columns, is
+# it decoded again and read entry by entry, which names the first bad entry in
+# document order.
+
+# What a taken c record or link leaves in its list in the decoded document
+_C_MARK, _LINK_MARK = object(), object()
+
+
+def _take_records(text: str) -> tuple | None:
+    """``text`` decoded with each c record's and link's fields moved onto
+    its block's (first, second, cost) column lists as json makes the record,
+    so that no record dict outlives its own decode; a record leaves its
+    block's mark in its place. Returns (doc, c columns, link columns) when
+    doc is an object whose c and net.links lists hold nothing but marks, one
+    per taken record of their block. A document shaped otherwise (a record
+    anywhere else, an entry that is not a record, a record with a field
+    missing) or not decoded at all gives None: its entries are read one at a
+    time instead."""
+    c, links = ([], [], []), ([], [], [])
+    sensor, state, c_cost = (column.append for column in c)
+    source, target, link_cost = (column.append for column in links)
+
+    def take(obj: dict):
+        # one key test per object: comparing obj.keys() with a field set
+        # made the whole decode 10-30% slower
+        if "sensor" in obj:
+            sensor(obj["sensor"])
+            state(obj["state"])
+            c_cost(obj["cost"])
+            return _C_MARK
+        if "from" in obj:
+            source(obj["from"])
+            target(obj["to"])
+            link_cost(obj["cost"])
+            return _LINK_MARK
+        return obj
+
+    try:
+        doc = json.loads(text, object_hook=take)
+    except (ValueError, RecursionError, KeyError):  # KeyError: a record lacks a field
+        return None
+    net = doc.get("net") if isinstance(doc, dict) else None
+    if not isinstance(net, dict):
+        return None
+    for entries, columns, mark in ((doc.get("c"), c, _C_MARK),
+                                   (net.get("links"), links, _LINK_MARK)):
+        if not (isinstance(entries, list)
+                and entries.count(mark) == len(entries) == len(columns[0])):
+            return None
+    return doc, c, links
 
 
 def _pattern(doc: Mapping, key: str, rows: int, cols: int, path: str) -> StructuredMatrix:
@@ -417,23 +479,23 @@ def _pattern_by_entry(pairs: list, key: str, rows: int, cols: int) -> frozenset:
     return frozenset(nonzeros)
 
 
-def _records(entries: list, path: str, fields: tuple[str, str], rows: int, cols: int,
-             duplicate: str, distinct: bool = False) -> tuple:
+def _records(entries: list, taken: tuple | None, path: str, fields: tuple[str, str],
+             rows: int, cols: int, duplicate: str, distinct: bool = False) -> tuple | None:
     """The 0-based (first, second, cost) columns of a record block: objects
     whose two index ``fields`` lie in 1..rows and 1..cols, with a "cost".
     No cell may repeat (``duplicate % cell`` names one), and with
-    ``distinct`` no record's two indices may be equal."""
-    if set(map(type, entries)) <= {dict}:
-        try:
-            first = _int_column([e[fields[0]] for e in entries], 1)
-            second = _int_column([e[fields[1]] for e in entries], 1)
-            cells = _bulk_cells(first, second, rows, cols)
-            if cells is not None and not (distinct and (first == second).any()):
-                costs = _bulk_costs([e["cost"] for e in entries])
-                if costs is not None:
-                    return first, second, costs
-        except KeyError:
-            pass
+    ``distinct`` no record's two indices may be equal. ``taken``, the
+    block's column lists from ``_take_records``, is checked a column at a
+    time, and a failed check gives None; without it, the ``entries`` are
+    read one at a time and the first bad one is named."""
+    if taken is not None:
+        first = _int_column(taken[0], 1)
+        second = _int_column(taken[1], 1)
+        cells = _bulk_cells(first, second, rows, cols)
+        if cells is None or (distinct and (first == second).any()):
+            return None
+        costs = _bulk_costs(taken[2])
+        return None if costs is None else (first, second, costs)
     records = _records_by_entry(entries, path, fields, rows, cols, duplicate, distinct)
     first, second = np.array(list(records), dtype=np.int64).reshape(-1, 2).T
     return first, second, np.fromiter(records.values(), np.float64, len(records))
@@ -511,7 +573,17 @@ def _pair_block(pattern: StructuredMatrix) -> str:
 
 def parse_instance(text: str) -> ProblemInstance:
     """Parse and validate an instance document. See the schema comment above."""
-    doc = _load(text, "instance")
+    taken = _take_records(text)
+    instance = None if taken is None else _instance(*taken)
+    del taken  # the columns go before a second decode
+    return _instance(_load(text, "instance")) if instance is None else instance
+
+
+def _instance(doc: dict, c: tuple | None = None,
+              links: tuple | None = None) -> ProblemInstance | None:
+    """The instance ``doc`` describes. With the taken columns of its c and
+    net.links blocks, None if they fail a column check; without them, the
+    blocks' entries are read one at a time."""
     n = _require(doc, "n", int, "instance")
     m = _require(doc, "m", int, "instance")
     if n < 1 or m < 1:
@@ -521,15 +593,21 @@ def parse_instance(text: str) -> ProblemInstance:
 
     entries = _require(doc, "c", list, "instance")
     sensing_cost = _new_table(m, n)  # a table too large is named before any entry
-    sensors, states, costs = _records(entries, "c", ("sensor", "state"), m, n,
-                                      "duplicate entry for sensor %d, state %d")
+    cells = _records(entries, c, "c", ("sensor", "state"), m, n,
+                     "duplicate entry for sensor %d, state %d")
+    if cells is None:
+        return None
+    sensors, states, costs = cells
     sensing_cost[sensors, states] = costs
 
     net_doc = _require(doc, "net", dict, "instance")
     undirected = _require(net_doc, "undirected", bool, "net")
-    links = _require(net_doc, "links", list, "net")
-    u, v, costs = _records(links, "net.links", ("from", "to"), m, m,
-                           "duplicate link %d -> %d", distinct=True)
+    entries = _require(net_doc, "links", list, "net")
+    cells = _records(entries, links, "net.links", ("from", "to"), m, m,
+                     "duplicate link %d -> %d", distinct=True)
+    if cells is None:
+        return None
+    u, v, costs = cells
     arcs = dict(zip(zip(u.tolist(), v.tolist()), costs.tolist()))
     network = WeightedDigraph(m, arcs)  # keeps the document's link order
     bad = network.asymmetric_arc() if undirected else None

@@ -1,16 +1,22 @@
-"""The instance reader checks its A, c and net.links lists by whole columns
-and reads them again entry by entry only to name an error. Against the reference
-reader, which reads every entry in turn: the same instance from a valid
-document, and the same exception and message from a broken one."""
+"""The instance reader takes its c records and links onto columns as json
+decodes them, checks its A, c and net.links lists by whole columns, and reads
+them again entry by entry only to name an error or to read a document of
+another shape. Against the reference reader, which reads every entry in turn:
+the same instance from a valid document, and the same exception and message
+from a broken one."""
 
+import dataclasses
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -189,6 +195,129 @@ def test_a_self_link_after_thousands_of_links_is_named():
     assert str(info.value) == "net.links[9900]: self-link 1 -> 1 is not allowed"
 
 
+def _one_instance() -> str:
+    """One instance, written canonically, without the cell of RECORD_KEYS
+    (sensor 1 may not measure state 1) or the link of LINK_KEYS (1 -> 2), so
+    that reading either object as a record would change the instance."""
+    instance = generate_instance(12, 4, 0.3, 2)
+    table = instance.sensing_cost.copy()
+    table[0, 0] = np.inf
+    assert (0, 1) not in instance.network.arcs
+    return serialize_instance(dataclasses.replace(instance, sensing_cost=table))
+
+
+# Documents that hold ONE_INSTANCE in other shapes. The c records and links
+# are taken onto columns as json decodes them; a document with a
+# record-shaped object where no record belongs is decoded again and read
+# entry by entry (``reread``).
+ONE_INSTANCE = _one_instance()
+
+
+def _shuffled(value, rng: random.Random):
+    """``value`` with the keys of every object in a random order."""
+    if isinstance(value, dict):
+        keys = list(value)
+        rng.shuffle(keys)
+        return {key: _shuffled(value[key], rng) for key in keys}
+    if isinstance(value, list):
+        return [_shuffled(item, rng) for item in value]
+    return value
+
+
+def _extra_key_in_each_record(doc):
+    for record in doc["c"] + doc["net"]["links"]:
+        record["note"] = "kept out"
+
+
+RECORD_KEYS = {"sensor": 1, "state": 1, "cost": 0.5}
+LINK_KEYS = {"from": 1, "to": 2, "cost": 0.5}
+SHAPES = [  # (name, edit of the document, reread)
+    ("extra-key-in-each-record", _extra_key_in_each_record, False),
+    ("record-under-extra-key", lambda doc: doc.update(notes=[dict(RECORD_KEYS)]), True),
+    ("link-under-extra-key", lambda doc: doc.update(notes={"link": dict(LINK_KEYS)}), True),
+    ("top-level-record-keys", lambda doc: doc.update(RECORD_KEYS), True),
+    ("top-level-link-keys", lambda doc: doc.update(LINK_KEYS), True),
+    ("net-record-keys", lambda doc: doc["net"].update(RECORD_KEYS), True),
+    ("net-link-keys", lambda doc: doc["net"].update(LINK_KEYS), True),
+]
+
+
+def _shaped(edit) -> str:
+    doc = json.loads(ONE_INSTANCE)
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, reread", [
+    pytest.param(ONE_INSTANCE, False, id="canonical"),
+    pytest.param(json.dumps(_shuffled(json.loads(ONE_INSTANCE), random.Random(3)),
+                            separators=(",", ":")), False, id="compact-shuffled-keys"),
+    *(pytest.param(_shaped(edit), reread, id=name) for name, edit, reread in SHAPES),
+])
+def test_documents_of_one_instance_parse_alike(text, reread):
+    want = graphs.parse_instance(ONE_INSTANCE)
+    with mock.patch.object(graphs, "_records_by_entry",
+                           wraps=graphs._records_by_entry) as records_by_entry:
+        got = graphs.parse_instance(text)
+    assert records_by_entry.called == reread
+    assert (got.n, got.m, got.network_undirected) == (want.n, want.m, want.network_undirected)
+    assert got.sensing_cost.tobytes() == want.sensing_cost.tobytes()
+    assert list(got.network.arcs.items()) == list(want.network.arcs.items())  # link order
+    assert got.system_pattern == want.system_pattern
+    assert _outcome(reference_parse_instance, text) == _outcome(graphs.parse_instance, text)
+
+
+def _set(block: str, k: int, field: str, value):
+    def edit(doc):
+        records = doc["net"]["links"] if block == "links" else doc["c"]
+        records[k][field] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda doc: doc["c"][5].pop("cost"),
+                 "c[5]: missing required field 'cost'", id="missing-cost"),
+    pytest.param(_set("c", 7, "sensor", True),
+                 "c[7].sensor: expected an integer index, got True", id="true-sensor"),
+    pytest.param(lambda doc: doc["c"].append(dict(doc["c"][3])),
+                 "c[47]: duplicate entry for sensor 1, state 5", id="duplicate"),
+    pytest.param(_set("links", 2, "to", 2),
+                 "net.links[2]: self-link 2 -> 2 is not allowed", id="self-link"),
+    pytest.param(lambda doc: doc["net"]["links"].insert(4, [1, 2]),
+                 "net.links[4]: expected an object, got [1, 2]", id="non-object"),
+    pytest.param(_set("c", 9, "cost", dict(LINK_KEYS)),
+                 f"c[9].cost: expected a number, got {LINK_KEYS!r}", id="link-as-cost"),
+    pytest.param(_set("links", 1, "cost", dict(RECORD_KEYS)),
+                 f"net.links[1].cost: expected a number, got {RECORD_KEYS!r}",
+                 id="record-as-cost"),
+])
+def test_broken_records_keep_their_messages(edit, message):
+    text = _shaped(edit)
+    with pytest.raises(ValidationError) as info:
+        graphs.parse_instance(text)
+    assert str(info.value) == message
+    assert _outcome(reference_parse_instance, text) == (ValidationError, message)
+
+
+def test_reader_holds_no_dict_per_record():
+    """The reader's traced peak, from after the document text exists, per c
+    record: a dict per record held about 330 B each; the taken columns hold
+    about 160."""
+    instance = generate_instance(1000, 50, 0.3, 1)
+    records = int(np.isfinite(instance.sensing_cost).sum())
+    text = serialize_instance(instance)
+    assert records == 50_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        graphs.parse_instance(text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / records < 220
+
+
 def _edit(path, value):
     def edit(doc):
         *keys, last = path
@@ -274,10 +403,11 @@ def test_sensing_table_numpy_cannot_build_is_a_validation_error(tmp_path, capsys
     assert error["message"].startswith(message)
 
 
-# Runs one route to a sensing-table copy under an address-space cap, and
-# prints the exception it ends with.
+# Runs one route to a sensing-table copy with ``room`` bytes of address space
+# left, and prints the exception it ends with, or "accepted".
 TABLE_COPY_CHILD = """
 import json, resource, sys
+import numpy as np
 from obsnet import generate, graphs
 
 def cap(room):
@@ -288,41 +418,62 @@ def cap(room):
     hard = resource.getrlimit(resource.RLIMIT_AS)[1]
     resource.setrlimit(resource.RLIMIT_AS, (mapped + room, hard))
 
-route, m, n = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-table = 8 * m * n
+route, m, n, room = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
 try:
     if route == "parse":
         text = json.dumps({"n": n, "m": m, "A": [[1, 1]], "c": [],
                            "net": {"undirected": False, "links": []}})
-        cap(table * 3 // 2)  # the parsed table fits, its copy does not
+        cap(room)
         graphs.parse_instance(text)
+    elif route == "convert":
+        costs = np.ones((m, n), dtype=np.float32)
+        pattern = graphs.StructuredMatrix(n, n, frozenset())
+        network = graphs.WeightedDigraph(m, {})
+        cap(room)
+        graphs.ProblemInstance(n=n, m=m, system_pattern=pattern, sensing_cost=costs,
+                               network=network)
     else:
         make = generate.ProblemInstance
 
         def capped(**fields):
-            cap(table // 2)  # the drawn table is made; its copy does not fit
+            cap(room)
             return make(**fields)
 
         generate.ProblemInstance = capped
         generate.generate_instance(n, m, 0.0, 1)
+    print("accepted")
 except Exception as exc:
     print(type(exc).__name__, exc)
 """
 
+TOO_LARGE = "ValidationError a {m}x{n} sensing cost table is too large: Unable to allocate"
+
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc and caps RLIMIT_AS")
-@pytest.mark.parametrize("route, m, n", [("parse", 1, 5_000_000), ("generate", 1000, 5000)])
-def test_sensing_table_copy_that_cannot_be_allocated_is_a_validation_error(route, m, n):
-    """ProblemInstance keeps its own copy of an array of sensing costs, and
-    parse_instance and generate_instance each hand it a table they have just
-    built. A copy that memory could not hold raised numpy's MemoryError, which
-    the CLI reported as "internal". A child process caps its address space so
-    that the first 40 MB table fits and its copy does not; a table past
-    glibc's 32 MiB mmap threshold is always mapped afresh, never taken from
-    freed heap."""
+@pytest.mark.parametrize("route, m, n, tables, want", [
+    # the parsed table fits, its copy does not
+    pytest.param("parse", 1, 5_000_000, 1.5, TOO_LARGE, id="parse-1-5000000"),
+    # both fit, and the cost check needs no more
+    pytest.param("parse", 1, 5_000_000, 2, "accepted", id="parse-checked-1-5000000"),
+    # the drawn table is made; its copy does not fit
+    pytest.param("generate", 1000, 5000, 0.5, TOO_LARGE, id="generate-1000-5000"),
+    # a float32 table fits, its float64 copy does not
+    pytest.param("convert", 1000, 5000, 0.5, TOO_LARGE, id="convert-1000-5000"),
+])
+def test_sensing_table_copy_that_cannot_be_allocated_is_a_validation_error(
+        route, m, n, tables, want):
+    """ProblemInstance keeps its own float64 copy of an array of sensing
+    costs, and parse_instance and generate_instance each hand it a table they
+    have just built. A copy or conversion that memory could not hold raised
+    numpy's MemoryError, which the CLI reported as "internal", and so did the
+    NaN and negative check's three (m, n) bool arrays after a copy that fit.
+    A child process lets itself map ``tables`` 40 MB tables plus 1 MiB more
+    than it has mapped; a table past glibc's 32 MiB mmap threshold is always
+    mapped afresh, never taken from freed heap."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(obsnet.__file__).parents[1]))
-    child = subprocess.run([sys.executable, "-c", TABLE_COPY_CHILD, route, str(m), str(n)],
-                           capture_output=True, text=True, env=env, timeout=120, check=True)
-    assert child.stdout.startswith(
-        f"ValidationError a {m}x{n} sensing cost table is too large: Unable to allocate")
+    room = int(tables * 8 * m * n) + (1 << 20)
+    child = subprocess.run(
+        [sys.executable, "-c", TABLE_COPY_CHILD, route, str(m), str(n), str(room)],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert child.stdout.startswith(want.format(m=m, n=n))
