@@ -136,6 +136,16 @@ def _cost_value(cost, what: str, i: int, j: int) -> float:
     raise ValidationError(f"{what % (i, j)} must be {rule}")
 
 
+def _dimensions(owner, *names: str) -> None:
+    """The dimension rule of the data model: each field in ``names`` holds
+    an integer, bools excluded; a numpy integer is stored as int."""
+    for name in names:
+        size = getattr(owner, name)
+        if not isinstance(size, numbers.Integral) or type(size) is bool:
+            raise ValidationError(f"{name} must be an integer, got {size!r}")
+        object.__setattr__(owner, name, int(size))
+
+
 @dataclass(frozen=True)
 class StructuredMatrix:
     """A 0/1 sparsity pattern: which entries of a matrix may be nonzero.
@@ -151,6 +161,7 @@ class StructuredMatrix:
     nonzeros: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        _dimensions(self, "rows", "cols")
         if self.rows < 0 or self.cols < 0:
             raise ShapeError(f"negative dimensions {self.rows}x{self.cols}")
         nonzeros = frozenset(self.nonzeros)
@@ -173,6 +184,7 @@ class WeightedDigraph:
     arcs: Mapping[tuple[int, int], float]
 
     def __post_init__(self):
+        _dimensions(self, "node_count")
         if self.node_count < 1:
             raise ValidationError(f"network needs node_count >= 1, got {self.node_count}")
         arcs = dict(self.arcs)
@@ -285,6 +297,7 @@ class ProblemInstance:
     network_undirected: bool = False
 
     def __post_init__(self):
+        _dimensions(self, "n", "m")
         if self.n < 1 or self.m < 1:
             raise ValidationError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
         if self.system_pattern.rows != self.n or self.system_pattern.cols != self.n:
@@ -325,7 +338,9 @@ class DesignResult:
 
     The two cost fields are the sums of the selected sensing-cost entries and
     of the selected link costs; each directed link counts once, so an
-    undirected link selected in both directions contributes twice.
+    undirected link selected in both directions contributes twice. Each is
+    a real number, bools refused: an integer is stored as int, any other
+    real, NaN included, as float.
     """
 
     measurement_pattern: StructuredMatrix
@@ -340,6 +355,12 @@ class DesignResult:
                 f"network_optimality must be 'exact' or 'two_approx',"
                 f" got {self.network_optimality!r}"
             )
+        for name in ("sensing_cost", "networking_cost"):
+            cost = getattr(self, name)
+            if not isinstance(cost, numbers.Real) or type(cost) is bool:
+                raise ValidationError(f"{name} must be a real number, got {cost!r}")
+            object.__setattr__(self, name, int(cost) if isinstance(cost, numbers.Integral)
+                               else float(cost))
         h = self.measurement_pattern
         if not one_state_per_sensor(h):
             raise ValidationError("measurement pattern must have exactly one nonzero per row")

@@ -17,7 +17,9 @@ and the union solvers alike.
 from __future__ import annotations
 
 import heapq
+import numbers
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -38,7 +40,6 @@ __all__ = [
 BRUTE_FORCE_MAX_ARCS = 20
 
 Arc = tuple[int, int]
-_NO_KEY = np.iinfo(np.int64).max  # loses every tie-break
 
 
 @dataclass(frozen=True)
@@ -129,35 +130,29 @@ def _tree_design(net: WeightedDigraph, tree: list[Arc], method: str) -> NetworkD
 # --- directed case: branchings and their union -----------------------------
 
 
-def _lexmin(vals: np.ndarray, keys: np.ndarray, axis: int):
-    """Position, value and key of the cheapest entry along ``axis``; ties
-    go to the smallest arc key."""
-    low = vals.min(axis=axis, keepdims=True)
-    candidates = np.where(vals == low, keys, _NO_KEY)
-    return candidates.argmin(axis=axis), low.squeeze(axis), candidates.min(axis=axis)
+def _contract(W: np.ndarray):
+    """Edmonds' contraction phase as one loop over an in-place matrix.
 
-
-def _contract(D: np.ndarray, KEY: np.ndarray):
-    """Edmonds' contraction phase as one loop over in-place cost matrices.
-
-    D[u, v] costs arc u -> v (inf when absent) on a strongly connected
-    network; KEY[u, v] is the key u*m + v of the original arc it stands for.
-    Each node keeps its cheapest in-arc, ties to the smallest key. Walking
-    in-arcs from each start in scan order always closes a cycle; the first
-    one becomes a set in its first member's slot, last in scan order; the
-    other members' rows and columns become inf. Into the set an arc costs D
-    minus its head's cheapest in-cost, out of it its own cost; per row and
-    column the cheapest survives, ties by key, so only the set's column
-    needs a new argmin. The network ends as one node, and that contraction
-    serves every root (Gabow, Galil, Spencer and Tarjan 1986, section 3).
-    Returns the contraction tree over the sensors 0..m-1, then the sets as
-    they formed: each node's ``parent`` and ``in_key``, the key of its
-    in-arc when it joined a set (-1: none).
+    W[u, v] = cost + key*1j: the cost of arc u -> v (inf when absent) on a
+    strongly connected network, and the key u*m + v of the original arc it
+    stands for. numpy orders complex values by real, then imaginary part,
+    so a min takes the cheapest entry, ties to the smallest key. Each node
+    keeps its cheapest in-arc. Walking in-arcs from each start in scan
+    order always closes a cycle; the first one becomes a set in its first
+    member's slot, last in scan order; the other members' rows and columns
+    become inf. Into the set an arc costs W minus its head's cheapest
+    in-cost, out of it its own cost; per row and column the cheapest
+    survives, so only the set's column needs a new argmin. The network
+    ends as one node, and that contraction serves every root (Gabow, Galil,
+    Spencer and Tarjan 1986, section 3). Returns the contraction tree over
+    the sensors 0..m-1, then the sets as they formed: each node's
+    ``parent`` and ``in_key``, the key of its in-arc when it joined a set
+    (-1: none).
     """
-    m = D.shape[0]
-    # KEY starts as u*m + v, growing down every column of D and of D.T, so
-    # the first row's arc is the smallest-key tie: a plain argmin suffices
-    best_row, best_cost = D.argmin(axis=0), D.min(axis=0)
+    m = W.shape[0]
+    # key // m is the row of each column's min; argmin(axis=0) would copy W
+    best = W.min(axis=0)
+    best_row = (best.imag // m).astype(np.intp)
     parent, in_key = [-1] * m, [-1] * m
     held, slot_of = list(range(m)), list(range(m))  # slot -> node, node -> slot
     on_walk = [False] * m  # per slot
@@ -176,16 +171,14 @@ def _contract(D: np.ndarray, KEY: np.ndarray):
         s, new = cycle[0], len(parent)
         for u in cycle:
             parent[held[u]] = new
-            in_key[held[u]] = int(KEY[best_row[u], u])
+            in_key[held[u]] = int(best[u].imag)
         members = np.array(cycle)
-        _, leave, leave_key = _lexmin(D[members], KEY[members], 0)
-        _, enter, enter_key = _lexmin(D[:, members] - best_cost[members], KEY[:, members], 1)
-        D[s, :], KEY[s, :] = leave, leave_key
-        D[:, s], KEY[:, s] = enter, enter_key
-        D[members[1:], :] = D[:, members[1:]] = np.inf
-        D[s, s] = np.inf
+        W[s, :] = W[members].min(axis=0)
+        W[:, s] = (W[:, members] - best[members].real).min(axis=1)
+        W[members[1:], :] = W[:, members[1:]] = W[s, s] = np.inf
         best_row[(best_row[:, None] == members).any(axis=1)] = s
-        best_row[s], best_cost[s], _ = _lexmin(D[:, s], KEY[:, s], 0)
+        best_row[s] = W[:, s].argmin()
+        best[s] = W[best_row[s], s]
         held[s], on_walk[s] = new, False
         slot_of.append(s)
         parent.append(-1)
@@ -201,7 +194,7 @@ def _expand(tree, root: int, m: int, forward: bool) -> frozenset[Arc]:
     in-arc; from the last set down to the sensors, every other node takes
     its recorded in-arc unless a set around it was entered through it (an
     entering arc passes down the members holding its head). Keys decode as
-    (key // m, key % m); an in-branching, contracted on D.T, turns around.
+    (key // m, key % m); an in-branching's arcs turn around.
     """
     parent, in_key = tree
     done = [False] * len(parent)
@@ -229,19 +222,27 @@ def _require_strongly_connected(net: WeightedDigraph) -> None:
         )
 
 
-def _cost_matrices(net: WeightedDigraph, roots) -> tuple[np.ndarray, np.ndarray]:
-    """Dense arc costs (inf when absent) and the arc keys KEY[u, v] = u*m + v
-    of a strongly connected network, once every root is in range."""
+def _cost_matrices(net: WeightedDigraph, roots, forwards) -> list[np.ndarray]:
+    """``_contract``'s matrix per direction in ``forwards`` (True: out), once
+    the network is strongly connected and every root an integer in range:
+    the cost of arc u -> v (out) or v -> u (in) plus the key u*m + v times 1j."""
     m = net.node_count
     _require_strongly_connected(net)
     for root in roots:
+        if not isinstance(root, numbers.Integral) or type(root) is bool:
+            raise ValidationError(f"root must be an integer, got {root!r}")
         if not (0 <= root < m):
             raise ShapeError(f"root {root} out of range for {m} sensors")
-    D = np.full((m, m), np.inf)
-    for (u, v), cost in net.arcs.items():
-        D[u, v] = cost
-    KEY = np.arange(m * m, dtype=np.int64).reshape(m, m)
-    return D, KEY
+    ends = np.fromiter(chain.from_iterable(net.arcs), np.intp, 2 * len(net.arcs))
+    tail, head = ends[0::2], ends[1::2]
+    costs = np.fromiter(net.arcs.values(), np.float64, len(net.arcs))
+    matrices = []
+    for forward in forwards:
+        W = np.full((m, m), np.inf, dtype=complex)
+        np.add.outer(np.arange(0.0, m * m, m), np.arange(m), out=W.imag)  # no m x m temporary
+        W.real[(tail, head) if forward else (head, tail)] = costs
+        matrices.append(W)
+    return matrices
 
 
 def min_branching(
@@ -258,9 +259,8 @@ def min_branching(
     if direction not in ("in", "out"):
         raise ValidationError(f"direction must be 'in' or 'out', got {direction!r}")
     forward = direction == "out"
-    D, KEY = _cost_matrices(net, [root])
-    # "in" is the out-branching of D.T; KEY stays, so ties break as on a reversed net
-    arcs = _expand(_contract(D if forward else D.T, KEY), root, net.node_count, forward)
+    (W,) = _cost_matrices(net, [root], [forward])
+    arcs = _expand(_contract(W), root, net.node_count, forward)
     return arcs, _arcs_cost(net, arcs)
 
 
@@ -269,11 +269,10 @@ def _best_union(net: WeightedDigraph, roots) -> NetworkDesign:
     wins a tie."""
     m = net.node_count
     roots = list(roots)
-    D, KEY = _cost_matrices(net, roots)  # checks the roots, at m == 1 too
+    W_out, W_in = _cost_matrices(net, roots, [True, False])  # checks the roots, at m == 1 too
     if m == 1:
         return NetworkDesign(frozenset(), 0.0, "branching-union", None, 0.0)
-    out_tree = _contract(D.copy(), KEY.copy())
-    in_tree = _contract(D.T, KEY)
+    out_tree, in_tree = _contract(W_out), _contract(W_in)
     best: NetworkDesign | None = None
     for root in roots:
         selected = _expand(out_tree, root, m, True) | _expand(in_tree, root, m, False)

@@ -113,8 +113,11 @@ _RNG_BYTES = 1 << 10
 
 def _check_rank_test(dim: int, tolerance: float) -> None:
     """The entry rule of every rank test, checked before anything is drawn:
-    a tolerance in (0, 1), and a dimension whose basis, 8 dim^2 bytes and
-    the largest array a trial holds, is within ``VERIFY_MAX_DIM``."""
+    a real tolerance, bools refused, in (0, 1), and a dimension whose basis,
+    8 dim^2 bytes and the largest array a trial holds, is within
+    ``VERIFY_MAX_DIM``."""
+    if not isinstance(tolerance, numbers.Real) or type(tolerance) is bool:
+        raise ValidationError(f"tolerance must be a real number, got {tolerance!r}")
     # at or below 0 rounding noise counts as rank, so deficits pass; at or
     # above 1, or NaN, no direction counts, so every trial fails
     if not 0 < tolerance < 1:

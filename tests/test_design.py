@@ -6,6 +6,7 @@ from obsnet import (
     ProblemInstance,
     ScopeError,
     StructuredMatrix,
+    ValidationError,
     WeightedDigraph,
     brute_force_msss,
     check_distributed_observability_structural,
@@ -79,6 +80,15 @@ def test_design_fixed_root_never_beats_all_roots():
         for root in range(m):
             fixed = design_instance(instance, root=root)
             assert best.networking_cost <= fixed.networking_cost
+
+
+def test_design_fixed_root_must_be_an_integer():
+    instance = generate_instance(6, 3, density=0.4, seed=300)
+    for root in (1.0, True):
+        with pytest.raises(ValidationError) as info:
+            design_instance(instance, root=root)
+        assert str(info.value) == f"root must be an integer, got {root!r}"
+    assert design_instance(instance, root=np.int64(1)) == design_instance(instance, root=1)
 
 
 def test_design_rejects_rank_deficient_system():

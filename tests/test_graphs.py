@@ -57,6 +57,27 @@ def test_structured_matrix_takes_only_integer_indices():
         StructuredMatrix(2, 2, frozenset({(0.5, 1)}))
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda size: StructuredMatrix(size, 2, frozenset()), "rows"),
+    (lambda size: StructuredMatrix(2, size, frozenset()), "cols"),
+    (lambda size: WeightedDigraph(size, {}), "node_count"),
+    (lambda size: dataclasses.replace(small_instance(), n=size), "n"),
+    (lambda size: dataclasses.replace(small_instance(), m=size), "m"),
+], ids=["rows", "cols", "node_count", "n", "m"])
+def test_dimensions_must_be_integers(build, name):
+    for size in (2.0, 1.0, True, "2", None):
+        with pytest.raises(ValidationError) as info:
+            build(size)
+        assert str(info.value) == f"{name} must be an integer, got {size!r}"
+    assert type(getattr(build(np.int64(2)), name)) is int
+
+
+def test_numpy_dimensions_are_stored_as_int():
+    instance = generate_instance(np.int64(6), np.int32(2), seed=3)
+    assert (type(instance.n), type(instance.m)) == (int, int)
+    assert serialize_instance(instance) == serialize_instance(generate_instance(6, 2, seed=3))
+
+
 def test_weighted_digraph_needs_a_node():
     for count in (0, -1):
         with pytest.raises(ValidationError, match=f"^network needs node_count >= 1, got {count}$"):
@@ -392,6 +413,19 @@ def test_design_result_enforces_measurement_shape():
         )
     with pytest.raises(ShapeError, match="network pattern is 3x3, expected 2x2"):
         dataclasses.replace(_design(), network_pattern=StructuredMatrix(3, 3, frozenset()))
+
+
+def test_design_costs_must_be_real_numbers():
+    for field in ("sensing_cost", "networking_cost"):
+        for cost in (True, None, "a", 1j):
+            with pytest.raises(ValidationError) as info:
+                dataclasses.replace(_design(), **{field: cost})
+            assert str(info.value) == f"{field} must be a real number, got {cost!r}"
+    # ints stay ints and any other real is a float, so each writes as json.dumps does
+    for cost, text in ((3, "3"), (np.int64(3), "3"), (np.float64(2.5), "2.5"),
+                       (np.float32(0.5), "0.5"), (float("nan"), "NaN")):
+        design = dataclasses.replace(_design(), sensing_cost=cost)
+        assert f'"sensing_cost": {text}\n' in serialize_design(design)
 
 
 def test_parse_design_rejects_bad_optimality():

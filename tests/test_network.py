@@ -228,6 +228,35 @@ def test_branching_selected_arcs_form_branching():
         assert cost == sum(net.arcs[a] for a in sorted(arcs))
 
 
+def test_numpy_orders_complex_values_as_the_contraction_needs():
+    # the contraction stores cost + key*1j and relies on numpy comparing the
+    # real parts first, inf included, then the imaginary parts
+    rng = np.random.default_rng(5)
+    real = rng.choice([1.0, 2.0, 0.5, np.inf], size=(7, 9))
+    real[:, 3] = np.inf
+    imag = rng.permutation(63).astype(float).reshape(7, 9)
+    W = real + imag * 1j
+
+    def first_lexmin(values):
+        pairs = [(v.real, v.imag) for v in values]
+        return pairs.index(min(pairs))
+
+    for axis in (0, 1):
+        lines = W.T if axis == 0 else W
+        expect = np.array([first_lexmin(line) for line in lines])
+        assert (W.argmin(axis=axis) == expect).all()
+        assert (W.min(axis=axis) == lines[np.arange(len(lines)), expect]).all()
+    for line in (W[:, 3], W[2], W.ravel()):
+        assert line.argmin() == first_lexmin(line)
+        assert line.min() == line[first_lexmin(line)]
+
+    # subtracting a float vector touches the real parts only, bit for bit
+    b = rng.uniform(0.0, 3.0, size=9)
+    moved = W - b
+    assert (moved.imag.view(np.int64) == W.imag.view(np.int64)).all()
+    assert (moved.real.view(np.int64) == (real - b).view(np.int64)).all()
+
+
 # --- strongly connected subgraph ---------------------------------------------
 
 
@@ -248,6 +277,19 @@ def test_msss_root_range_is_checked_at_one_sensor():
     for design in (msss_2approx(single, 0), msss_best_root(single)):
         assert (design.selected_arcs, design.total_cost, design.root) == (frozenset(), 0.0, None)
         assert design.optimality == "exact"
+
+
+def test_roots_must_be_integers():
+    net = ring(3)
+    solvers = (msss_2approx, lambda net, root: min_branching(net, root, "out"),
+               lambda net, root: min_branching(net, root, "in"))
+    for solve in solvers:
+        for root in (1.0, 1.5, True, "1", None):
+            with pytest.raises(ValidationError) as info:
+                solve(net, root)
+            assert str(info.value) == f"root must be an integer, got {root!r}"
+        assert solve(net, np.int64(1)) == solve(net, 1)
+    assert msss_2approx(net, np.int32(2)).root == 2
 
 
 def test_msss_two_nodes_forced():
@@ -333,8 +375,8 @@ def test_deep_path_contracts_in_small_memory():
 
 
 def test_first_column_argmin_builds_no_masked_copies():
-    # D and KEY take 16 MB at m=1000; a first column argmin masked over all
-    # of D and KEY adds two more m x m arrays, a 32 MB peak
+    # the complex cost-and-key matrix takes 16 MB at m=1000; a first column
+    # argmin over it, or masked copies of it, add 16 MB more, a 32 MB peak
     m = 1000
     rng = np.random.default_rng(61)
     arcs = {(u, (u + 1) % m): float(rng.uniform(1, 10)) for u in range(m)}

@@ -319,6 +319,20 @@ def test_verify_refuses_trials_that_are_not_integers(trials):
     assert str(info.value) == f"trials must be an integer, got {trials!r}"
 
 
+@pytest.mark.parametrize("tolerance", ["x", None, True, np.array([1e-8])])
+def test_rank_tests_refuse_a_tolerance_that_is_not_a_real_number(tolerance):
+    # "x" and None raised bare TypeErrors from the interval check
+    instance = generate_instance(2, 1, seed=0)
+    design = design_instance(instance)
+    message = f"tolerance must be a real number, got {tolerance!r}"
+    with pytest.raises(ValidationError) as info:
+        kalman_rank_observable(np.eye(2), np.ones((1, 2)), tolerance)
+    assert str(info.value) == message
+    with pytest.raises(ValidationError) as info:
+        verify_design_numeric(instance, design, trials=1, tolerance=tolerance)
+    assert str(info.value) == message
+
+
 def test_verify_takes_numpy_integer_trials_as_plain_ints():
     instance = generate_instance(3, 2, density=0.4, seed=4)
     design = design_instance(instance)
